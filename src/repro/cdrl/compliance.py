@@ -33,6 +33,7 @@ from repro.ldx.verifier import (
     verify,
     verify_structure,
 )
+from repro.tregex.tree import preorder_shape
 
 
 @dataclass(frozen=True)
@@ -84,19 +85,6 @@ def end_of_session_reward(
     return config.operational_reward_scale * ratio
 
 
-def _tree_shape(session: ExplorationSession) -> tuple:
-    """A hashable key describing only the *shape* of the session tree.
-
-    The structural specifications ignore operation labels, so look-ahead
-    compliance results can be cached per shape across steps and episodes.
-    """
-
-    def shape(node) -> tuple:
-        return tuple(shape(child) for child in node.children)
-
-    return shape(session.root)
-
-
 def immediate_reward(
     session: ExplorationSession,
     query: LdxQuery,
@@ -111,7 +99,9 @@ def immediate_reward(
     remaining = max(0, episode_length - step_index)
     key = None
     if cache is not None:
-        key = (_tree_shape(session), remaining)
+        # The structural specifications ignore operation labels, so the
+        # look-ahead result is cached per tree shape across steps and episodes.
+        key = (preorder_shape(session.root)[1], remaining)
         if key in cache:
             feasible = cache[key]
             return 0.0 if feasible else config.immediate_violation_penalty

@@ -564,7 +564,6 @@ class RequestScheduler:
             return {
                 "workers": self.workers,
                 "max_pending": self.max_pending,
-                "queued": len(self._queue),
                 "queue_depth": len(self._queue),
                 "batching": batcher.describe() if batcher is not None else None,
                 "tickets": len(self._tickets),

@@ -13,7 +13,25 @@ Besides the boolean check the module exposes:
 * :func:`verify_structure` / :func:`structural_assignments` — checks only
   ``struct(QX)``, used by the graded compliance reward (Algorithm 2),
 * :func:`operational_match_ratio` — the fraction of specified operational
-  parameters satisfied under the best structural assignment.
+  parameters satisfied under the best structural assignment,
+* :func:`best_partial_structural_assignment` — the relaxed structural match
+  (named nodes may stay unassigned) behind the graded reward and the
+  specification-aware guidance.
+
+The relaxed match is memoised process-wide.  Its assign-or-skip search reads
+only the tree structure, which node is the root, whether each node carries a
+``ROOT`` label, and the ``struct(QX)`` clauses in declaration order; it never
+reads operation labels.  So the memo key is the tuple of (name, ``is_root``,
+per-clause relation, named children and ``min_related()``) per spec, plus
+the whole tree's pre-order parent positions (see
+:func:`~repro.tregex.tree.preorder_shape`), the position of the node searched
+from, and per-node ``ROOT``-label flags, and the result is exact for every
+tree of that shape.  The value is immutable: the (spec name, pre-order
+position) pairs of the best assignment in the order the search inserted
+them, and the two counts.  A hit rebuilds the :class:`Assignment` against
+the caller's own nodes.  The memo is cleared wholesale once it holds
+``_STRUCTURAL_MEMO_MAX`` entries.  Sessions built step by step keep
+revisiting the same few shapes, so most calls are hits.
 """
 
 from __future__ import annotations
@@ -22,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.tregex.relations import get_relation
-from repro.tregex.tree import TreeNode
+from repro.tregex.tree import TreeNode, preorder_shape
 
 from .ast import REL_CHILDREN, LdxQuery, NodeSpec
 from .errors import LdxVerificationError
@@ -244,6 +262,38 @@ def operational_match_ratio(tree_root: TreeNode, query: LdxQuery) -> float:
     return best
 
 
+#: Process-wide memo of :func:`best_partial_structural_assignment`:
+#: structural key -> ((spec name, pre-order position), ...), assigned, named.
+_STRUCTURAL_MEMO: dict[tuple, tuple[tuple[tuple[str, int], ...], int, int]] = {}
+
+#: Bound on the memo; cleared wholesale when exceeded.
+_STRUCTURAL_MEMO_MAX = 4096
+
+
+def _structural_key(
+    query: LdxQuery, nodes: list[TreeNode], parents: tuple[int, ...], root: int
+) -> tuple:
+    """Everything the relaxed structural search reads, and nothing else.
+
+    Specs appear in declaration order, which also fixes ``_ordered_specs``
+    order; the tree appears as its pre-order shape, the position of the
+    node searched from, and the ``ROOT``-label flag of each node.
+    Operation patterns and labels are left out.
+    """
+    specs = tuple(
+        (
+            spec.name,
+            spec.is_root,
+            tuple(
+                (clause.relation, clause.named, clause.min_related())
+                for clause in spec.structure
+            ),
+        )
+        for spec in query.specs
+    )
+    return specs, parents, root, tuple(_is_root_label(node) for node in nodes)
+
+
 def best_partial_structural_assignment(
     tree_root: TreeNode, query: LdxQuery
 ) -> tuple[Assignment, int, int]:
@@ -252,8 +302,31 @@ def best_partial_structural_assignment(
     Relaxes ``struct(QX)`` verification by allowing named nodes to stay
     unassigned.  Returns ``(assignment, assigned_count, named_count)``; the
     graded compliance reward and the specification-aware structure guide both
-    build on it.
+    build on it.  Results are memoised per (structural spec, tree shape) and
+    rebuilt against *tree_root*'s own nodes (see the module docstring).
     """
+    # Keyed on the whole tree, so a subtree root whose relations reach
+    # above it is still exact.
+    nodes, parents = preorder_shape(tree_root.root())
+    key = _structural_key(query, nodes, parents, nodes.index(tree_root))
+    cached = _STRUCTURAL_MEMO.get(key)
+    if cached is None:
+        assignment, assigned, named = _best_partial_search(tree_root, query)
+        position = {id(node): index for index, node in enumerate(nodes)}
+        cached = (
+            tuple((name, position[id(node)]) for name, node in assignment.nodes.items()),
+            assigned,
+            named,
+        )
+        if len(_STRUCTURAL_MEMO) >= _STRUCTURAL_MEMO_MAX:
+            _STRUCTURAL_MEMO.clear()
+        _STRUCTURAL_MEMO[key] = cached
+    placed, assigned, named = cached
+    return Assignment(nodes={name: nodes[index] for name, index in placed}), assigned, named
+
+
+def _best_partial_search(tree_root: TreeNode, query: LdxQuery) -> tuple[Assignment, int, int]:
+    """The assign-or-skip search behind :func:`best_partial_structural_assignment`."""
     struct_query = query.structural_subset()
     specs = _ordered_specs(struct_query)
     named = [spec for spec in specs if not spec.is_root]

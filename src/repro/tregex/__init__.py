@@ -21,7 +21,7 @@ from .relations import (
     Relation,
     get_relation,
 )
-from .tree import TreeNode, build_tree, parent_child_pairs
+from .tree import TreeNode, build_tree, parent_child_pairs, preorder_shape
 
 __all__ = [
     "ANCESTOR",
@@ -44,4 +44,5 @@ __all__ = [
     "has_assignment",
     "node_candidates",
     "parent_child_pairs",
+    "preorder_shape",
 ]

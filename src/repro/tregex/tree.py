@@ -158,6 +158,28 @@ def build_tree(spec: Any) -> TreeNode:
     return TreeNode(spec)
 
 
+def preorder_shape(root: Any) -> tuple[list[Any], tuple[int, ...]]:
+    """The nodes under *root* in pre-order, and each node's parent position.
+
+    The second item gives, per pre-order position, the position of the
+    node's parent (``-1`` for *root*).  It determines the tree's shape and
+    nothing else, so it serves as a hashable shape key: two trees share it
+    exactly when they are :meth:`TreeNode.structurally_equal` ignoring
+    labels.  The walk is iterative, so any depth works, and it accepts any
+    node type with an ordered ``children`` list (session nodes included).
+    """
+    nodes: list[Any] = []
+    parents: list[int] = []
+    stack: list[tuple[Any, int]] = [(root, -1)]
+    while stack:
+        node, parent = stack.pop()
+        parents.append(parent)
+        position = len(nodes)
+        nodes.append(node)
+        stack.extend((child, position) for child in reversed(node.children))
+    return nodes, tuple(parents)
+
+
 def parent_child_pairs(root: TreeNode) -> list[tuple[TreeNode, TreeNode]]:
     """All (parent, child) edges of the tree in pre-order."""
     pairs: list[tuple[TreeNode, TreeNode]] = []

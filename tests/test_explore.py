@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -159,6 +164,32 @@ class TestInterestingnessAndDiversity:
 
     def test_session_diversity_no_previous(self, small_table):
         assert session_diversity(small_table, []) == 1.0
+
+    def test_result_distance_independent_of_hash_seed(self):
+        # Column i of b shares i+1 of a's ten values, so the per-column
+        # overlaps are fractions whose float sum depends on summation order.
+        # Summed in set order, hash seeds 0 and 1 differ in the last bit.
+        script = """
+from repro.dataframe import DataTable
+from repro.explore import result_distance
+cols = [f"c{i}" for i in range(9)]
+a = DataTable({c: [f"v{j}" for j in range(10)] for c in cols})
+b = DataTable(
+    {c: [f"v{j}" for j in range(i + 1)] + [f"w{j}" for j in range(9 - i)]
+     for i, c in enumerate(cols)}
+)
+print(result_distance(a, b).hex())
+"""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            completed = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, check=True, timeout=120,
+            )
+            outputs.append(completed.stdout.strip())
+        assert outputs[0] == outputs[1]
 
 
 class TestActionSpaceAndEnvironment:

@@ -471,6 +471,13 @@ class TestExactlyOnceAcrossSchedulers:
                     assert time.monotonic() < deadline, "replica a never claimed"
                     time.sleep(0.01)
                 ticket_b = b.submit(request)
+                # Release a only once b is waiting on its lease; released
+                # earlier, a can commit before b's worker looks, and b then
+                # serves the stored result without ever waiting.
+                deadline = time.monotonic() + 30
+                while b.describe()["leases"]["waits"] < 1:
+                    assert time.monotonic() < deadline, "replica b never waited"
+                    time.sleep(0.01)
                 release.set()
                 assert a.wait(ticket_a.ticket_id, timeout=60)["state"] == TICKET_DONE
                 snapshot_b = b.wait(ticket_b.ticket_id, timeout=60)
