@@ -35,6 +35,17 @@ Served (see ``examples/serve.py`` and ``python -m repro.engine.server``)::
     scheduler.wait(ticket.ticket_id)
 """
 
+from repro.reliability import (
+    FaultPlan,
+    FaultSpec,
+    FileCancelEvent,
+    InjectedFaultError,
+    clear_plan,
+    fault_point,
+    install_plan,
+    retry_sqlite,
+)
+
 from .batcher import BatchMember, InferenceBatcher, SharedExplorationContext
 from .core import (
     DEFAULT_ENGINE_MAX_CACHED_ROWS,
@@ -51,16 +62,6 @@ from .errors import (
     SchedulerDrainingError,
     SchedulerFullError,
     StageFailedError,
-)
-from .faults import (
-    FaultPlan,
-    FaultSpec,
-    FileCancelEvent,
-    InjectedFaultError,
-    clear_plan,
-    fault_point,
-    install_plan,
-    retry_sqlite,
 )
 from .events import (
     EVENT_EPISODE,

@@ -38,15 +38,8 @@ from repro.bench.generator import generate_benchmark
 from repro.cdrl.agent import CdrlConfig
 from repro.dataframe.table import DataTable
 from repro.datasets.registry import dataset_names, load_dataset
-from repro.explore.cache import (
-    DEFAULT_MAX_ENTRIES,
-    ExecutionCache,
-    ThreadSafeExecutionCache,
-)
-from repro.explore.diskcache import (
-    ThreadSafeTieredExecutionCache,
-    TieredExecutionCache,
-)
+from repro.explore.cache import DEFAULT_MAX_ENTRIES, ExecutionCache
+from repro.explore.diskcache import TieredExecutionCache
 from repro.explore.session import ExplorationSession
 from repro.ldx.parser import parse_ldx, try_parse_ldx
 from repro.llm.interface import LLMClient
@@ -142,7 +135,7 @@ class LinxEngine:
         baseline in as the generation stage.
     cache:
         Execution cache shared by every request.  Defaults to a
-        :class:`~repro.explore.cache.ThreadSafeExecutionCache` bounded by
+        :class:`~repro.explore.cache.ExecutionCache` bounded by
         *max_cache_entries* entries and *max_cached_rows* total cached rows
         (default :data:`DEFAULT_ENGINE_MAX_CACHED_ROWS`; pass ``None`` to
         disable the row budget).
@@ -223,14 +216,14 @@ class LinxEngine:
         if cache is not None:
             self.cache = cache
         elif self.disk_cache_path is not None:
-            self.cache = ThreadSafeTieredExecutionCache(
+            self.cache = TieredExecutionCache(
                 self.disk_cache_path,
                 max_entries=max_cache_entries,
                 max_cached_rows=max_cached_rows,
                 disk_shards=disk_cache_shards,
             )
         else:
-            self.cache = ThreadSafeExecutionCache(
+            self.cache = ExecutionCache(
                 max_entries=max_cache_entries, max_cached_rows=max_cached_rows
             )
         self._max_cache_entries = max_cache_entries
@@ -745,7 +738,7 @@ class LinxEngine:
             progress_queue = manager.Queue()
             drainer = threading.Thread(
                 target=drain_progress_queue,
-                args=(progress_queue, lambda label, event: observer(event)),
+                args=(progress_queue, observer),
                 daemon=True,
             )
             drainer.start()
@@ -910,21 +903,18 @@ _worker_engine: Optional[LinxEngine] = None
 _worker_spec: Optional[dict[str, Any]] = None
 
 
-def drain_progress_queue(queue, route: Callable[[str, ProgressEvent], None]) -> None:
-    """Forward ``(label, event)`` pairs from a worker queue until ``None``.
+def drain_progress_queue(queue, observer: ProgressObserver) -> None:
+    """Forward worker events from *queue* to *observer* until ``None``.
 
-    Shared by :meth:`LinxEngine.explore_many` (which drops the label — the
-    events already carry their request id) and the request scheduler (which
-    routes by label to per-ticket event logs).  Run it on a daemon thread;
-    enqueue ``None`` to stop it.
+    :meth:`LinxEngine.explore_many`'s process mode runs it on a daemon
+    thread; enqueue ``None`` to stop it.
     """
     while True:
-        item = queue.get()
-        if item is None:
+        event = queue.get()
+        if event is None:
             return
-        label, event = item
         try:
-            route(label, event)
+            observer(event)
         except Exception:
             # A broken observer must not kill the drainer (and with it
             # every subsequent event of the batch).
@@ -963,18 +953,18 @@ def _process_worker(
     warm: the few-shot bank, the in-memory cache tier and — when a
     ``disk_cache_path`` is configured — the shared persistent tier all
     survive across the worker's tasks.  With a *progress_queue*, every
-    engine event is streamed to the parent as a ``(label, event)`` pair;
+    engine event is streamed to the parent;
     *timeout* bounds this request cooperatively (the deadline starts when
     the worker picks the request up, not when it was queued).  With a
     *cancel_path*, the worker polls that sentinel file at its cooperative
-    checkpoints — the cross-process half of the cancellation registry: the
-    parent's ``cancel()`` touches the file, this request stops at its next
-    stage boundary or episode tick.
+    checkpoints — the cross-process half of ``explore_many``'s
+    cancellation bridge: the parent touches the file, this request stops at
+    its next stage boundary or episode tick.
     """
     engine = worker_engine(spec)
     observer = None
     if progress_queue is not None:
-        observer = lambda event: progress_queue.put((label, event))  # noqa: E731
+        observer = progress_queue.put
     cancel_event = FileCancelEvent(cancel_path) if cancel_path else None
     result = engine.explore(
         ExploreRequest.from_dict(request_payload),

@@ -27,12 +27,10 @@ Three serving behaviours live here rather than in the engine:
   checkpoints; a cancelled request yields a ``cancelled`` ticket and never
   touches the store.
 
-Execution is pluggable: ``workers="thread"`` runs requests on the
-scheduler's own threads over the engine's shared cache;
-``workers="process"`` reuses :func:`~repro.engine.core._process_worker` —
-the same machinery as ``explore_many(workers="process")`` — with worker
-events streamed back over a multiprocessing queue and routed to tickets by
-a drainer thread.
+Requests run on the scheduler's own worker threads over the engine's
+shared, lock-guarded execution cache.  One scheduler is one process; to
+serve from several cores, run several ``python -m repro.engine.server``
+replicas over one ``--store`` (see :mod:`repro.engine.serve_cluster`).
 
 **Multi-replica coordination.**  When several schedulers (in separate
 processes, on separate servers) share one :class:`ResultStore` file, the
@@ -42,18 +40,15 @@ single-transaction compare-and-claim — and a request whose hash another
 replica holds waits for that replica's result instead of duplicating the
 work.  A heartbeat thread renews held leases; a replica that crashes
 stops renewing, its leases expire, and the next replica to ask *takes
-over* and re-executes.  Cancellation reaches process-pool workers through
-sentinel files under a shared directory (the cross-process cancellation
-registry), and :meth:`~RequestScheduler.drain` implements graceful
-SIGTERM shutdown: stop accepting (503 upstream), finish or release
-in-flight leases, flush the write-behind cache.
+over* and re-executes.  :meth:`~RequestScheduler.drain` implements
+graceful SIGTERM shutdown: stop accepting (503 upstream), finish or
+release in-flight leases, flush the write-behind cache.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 import threading
 import time
 import traceback
@@ -66,7 +61,7 @@ from typing import Any, Optional
 from repro.explore.diskcache import TieredExecutionCache
 from repro.reliability import SITE_HEARTBEAT, fault_point
 
-from .core import LinxEngine, _process_worker, drain_progress_queue
+from .core import LinxEngine
 from .errors import (
     RequestCancelledError,
     RequestTimeoutError,
@@ -78,11 +73,9 @@ from .events import (
     EVENT_REQUEST_FAILED,
     EVENT_REQUEST_FINISHED,
     EVENT_REQUEST_STARTED,
-    TERMINAL_EVENTS,
     ProgressEvent,
 )
 from .request import ExploreRequest
-from .result import ExploreResult
 from .store import ResultStore
 
 #: Ticket lifecycle states.
@@ -170,11 +163,6 @@ class RequestScheduler:
     max_workers:
         Worker threads draining the queue (= concurrently running
         requests).
-    workers:
-        ``"thread"`` (default) executes on the scheduler's threads over the
-        engine's shared in-memory cache; ``"process"`` fans each request to
-        a process pool (declaratively-configured engines only) with worker
-        events streamed back to the tickets.
     default_timeout:
         Per-request timeout (seconds) applied when :meth:`submit` gets
         none.  ``None`` means no deadline.
@@ -199,11 +187,6 @@ class RequestScheduler:
         sibling takes over.
     heartbeat_interval:
         Override the heartbeat period (defaults to ``lease_ttl / 3``).
-    cancel_dir:
-        Directory of the cross-process cancellation sentinels (defaults to
-        ``<store dir>/cancel``, or a temp dir without a store).  Process
-        workers poll their ticket's sentinel at engine checkpoints, so
-        :meth:`cancel` reaches requests running in the pool.
     execution_journal:
         Optional append-only JSON-lines file recording every ``execute``
         (lease claimed, work starting) and ``commit`` (result stored)
@@ -220,18 +203,14 @@ class RequestScheduler:
         store: ResultStore | None = None,
         max_pending: int = 64,
         max_workers: int = 2,
-        workers: str = "thread",
         default_timeout: float | None = None,
         max_terminal_tickets: int = 512,
         terminal_events_keep: int = 64,
         replica_id: str | None = None,
         lease_ttl: float = 30.0,
         heartbeat_interval: float | None = None,
-        cancel_dir: str | Path | None = None,
         execution_journal: str | Path | None = None,
     ):
-        if workers not in ("thread", "process"):
-            raise ValueError(f"workers must be 'thread' or 'process', got {workers!r}")
         if max_pending < 1:
             raise ValueError("max_pending must be positive")
         if max_workers < 1:
@@ -240,11 +219,6 @@ class RequestScheduler:
             raise ValueError("max_terminal_tickets must be positive")
         if terminal_events_keep < 0:
             raise ValueError("terminal_events_keep must be >= 0")
-        if workers == "process" and engine._custom_stages:
-            raise ValueError(
-                "workers='process' requires a declaratively-configured engine "
-                "(default or registry-named stages, default LLM client and cache)"
-            )
         if lease_ttl <= 0:
             raise ValueError("lease_ttl must be positive")
         self.engine = engine
@@ -258,12 +232,6 @@ class RequestScheduler:
         self.heartbeat_interval = (
             heartbeat_interval if heartbeat_interval is not None else lease_ttl / 3.0
         )
-        if cancel_dir is not None:
-            self._cancel_dir = Path(cancel_dir)
-        elif store is not None:
-            self._cancel_dir = store.path.parent / "cancel"
-        else:
-            self._cancel_dir = None  # created lazily on first process cancel
         self._journal_path = (
             Path(execution_journal) if execution_journal is not None else None
         )
@@ -273,7 +241,6 @@ class RequestScheduler:
         # configuration's results for another's requests.
         self._store_namespace = engine.config_fingerprint()
         self.max_pending = max_pending
-        self.workers = workers
         self.default_timeout = default_timeout
         self.max_terminal_tickets = max_terminal_tickets
         self.terminal_events_keep = terminal_events_keep
@@ -294,23 +261,6 @@ class RequestScheduler:
         self._ticket_counter = 0
         self._shutdown = False
         self._draining = False
-        self._pool = None
-        self._manager = None
-        self._progress_queue = None
-        self._drainer: Optional[threading.Thread] = None
-        if workers == "process":
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            self._pool = ProcessPoolExecutor(max_workers=max_workers)
-            self._manager = multiprocessing.Manager()
-            self._progress_queue = self._manager.Queue()
-            self._drainer = threading.Thread(
-                target=drain_progress_queue,
-                args=(self._progress_queue, self._route_event),
-                daemon=True,
-            )
-            self._drainer.start()
         self._threads = [
             threading.Thread(target=self._worker_main, daemon=True, name=f"linx-sched-{i}")
             for i in range(max_workers)
@@ -562,7 +512,6 @@ class RequestScheduler:
             for ticket in self._tickets.values():
                 states[ticket.state] = states.get(ticket.state, 0) + 1
             return {
-                "workers": self.workers,
                 "max_pending": self.max_pending,
                 "queue_depth": len(self._queue),
                 "batching": batcher.describe() if batcher is not None else None,
@@ -595,21 +544,12 @@ class RequestScheduler:
             }
 
     # -- cancellation ------------------------------------------------------------------
-    def _cancel_path(self, ticket: Ticket) -> Path:
-        """The sentinel file of *ticket* in the shared cancellation registry."""
-        if self._cancel_dir is None:
-            # No store to anchor the registry: a per-scheduler temp dir.
-            self._cancel_dir = Path(tempfile.mkdtemp(prefix="linx-cancel-"))
-        return self._cancel_dir / f"{self.replica_id}-{ticket.ticket_id}.cancel"
-
     def cancel(self, ticket_id: str) -> bool:
         """Request cancellation of *ticket_id*; True when it will take effect.
 
         Queued tickets cancel immediately.  Running tickets cancel
-        cooperatively at the engine's next checkpoint — in process mode the
-        request is reached through its sentinel file in the shared
-        cancellation registry, which the worker process polls at the same
-        checkpoints.  Terminal tickets report False.
+        cooperatively at the engine's next checkpoint.  Terminal tickets
+        report False.
         """
         with self._condition:
             ticket = self._tickets[ticket_id]
@@ -618,10 +558,6 @@ class RequestScheduler:
                 return True
             if ticket.state == TICKET_RUNNING:
                 ticket.cancel_event.set()
-                if self.workers == "process":
-                    path = self._cancel_path(ticket)
-                    path.parent.mkdir(parents=True, exist_ok=True)
-                    path.touch()
                 return True
             return False
 
@@ -792,44 +728,14 @@ class RequestScheduler:
         if not self._acquire(ticket):
             return
         try:
-            if self.workers == "thread":
-                result = self.engine.explore(
-                    ticket.request,
-                    observer=lambda event: self._record_event(ticket, event),
-                    timeout=ticket.timeout,
-                    cancel_event=ticket.cancel_event,
-                    _label=ticket.ticket_id,
-                )
-                payload = result.to_dict()
-            else:
-                cancel_path = self._cancel_path(ticket)
-                if ticket.cancel_event.is_set():
-                    # Cancelled between claim and dispatch: plant the
-                    # sentinel so the worker stops at its first checkpoint.
-                    cancel_path.parent.mkdir(parents=True, exist_ok=True)
-                    cancel_path.touch()
-                try:
-                    future = self._pool.submit(
-                        _process_worker,
-                        ticket.request.to_dict(),
-                        self.engine.worker_spec(),
-                        ticket.ticket_id,
-                        self._progress_queue,
-                        ticket.timeout,
-                        str(cancel_path),
-                    )
-                    payload = future.result()
-                finally:
-                    try:
-                        cancel_path.unlink()
-                    except OSError:
-                        pass
-                result = ExploreResult.from_dict(payload)
-                # The worker's events travel asynchronously through the
-                # manager queue; wait for its terminal request_finished to
-                # be routed before the ticket turns terminal, so an SSE
-                # stream never closes with the event tail undelivered.
-                self._await_terminal_event(ticket)
+            result = self.engine.explore(
+                ticket.request,
+                observer=lambda event: self._record_event(ticket, event),
+                timeout=ticket.timeout,
+                cancel_event=ticket.cancel_event,
+                _label=ticket.ticket_id,
+            )
+            payload = result.to_dict()
         except RequestCancelledError as exc:
             self._release_lease(ticket)
             self._finalise(ticket, TICKET_CANCELLED, str(exc), type(exc).__name__)
@@ -876,22 +782,6 @@ class RequestScheduler:
             self._drop_live(ticket)
             self._gc_terminal()
             self._condition.notify_all()
-
-    def _await_terminal_event(self, ticket: Ticket, timeout: float = 30.0) -> None:
-        """Block until a terminal event has been routed onto *ticket*.
-
-        Bounded: if the drainer died or the queue broke, proceed after
-        *timeout* rather than wedge the worker thread — consumers then see
-        a terminal ticket with a truncated event log, which is the
-        degraded-but-safe outcome.
-        """
-        deadline = time.monotonic() + timeout
-        with self._condition:
-            while not any(event.kind in TERMINAL_EVENTS for event in ticket.events):
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return
-                self._condition.wait(timeout=remaining)
 
     def _finalise(
         self,
@@ -967,14 +857,6 @@ class RequestScheduler:
         with self._condition:
             ticket.events.append(event)
             self._condition.notify_all()
-
-    def _route_event(self, label: str, event: ProgressEvent) -> None:
-        """Route a process-worker event to its ticket (drainer thread)."""
-        with self._condition:
-            ticket = self._tickets.get(label)
-            if ticket is not None:
-                ticket.events.append(event)
-                self._condition.notify_all()
 
     # -- lease heartbeat ---------------------------------------------------------------
     def _heartbeat_loop(self) -> None:
@@ -1082,14 +964,6 @@ class RequestScheduler:
                 self.engine.cache.flush()
             except Exception:  # noqa: BLE001 — flush degradation is logged downstream
                 pass
-        if self._pool is not None:
-            self._pool.shutdown(wait=wait)
-        if self._progress_queue is not None:
-            self._progress_queue.put(None)
-            if self._drainer is not None:
-                self._drainer.join(timeout=30)
-        if self._manager is not None:
-            self._manager.shutdown()
 
     def __enter__(self) -> "RequestScheduler":
         return self

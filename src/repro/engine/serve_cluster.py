@@ -4,7 +4,7 @@ Boots **three** HTTP server replicas — separate processes, separate
 schedulers — over ONE shared store/cache directory, drives ≥ 20 requests
 with heavily duplicated canonical hashes through a round-robin client,
 and kills one replica mid-request with a scripted
-:class:`~repro.engine.faults.FaultPlan` (a hard ``os._exit`` the instant
+:class:`~repro.reliability.FaultPlan` (a hard ``os._exit`` the instant
 its first execution lease commits — the worst case: the lease is held by
 a corpse).  It then asserts the fault-tolerance contract of the serving
 tier end to end:
@@ -43,9 +43,9 @@ from pathlib import Path
 from typing import Any, Optional
 
 from repro.cdrl.agent import CdrlConfig
+from repro.reliability import FaultPlan, install_plan
 
 from .core import LinxEngine
-from .faults import FaultPlan, install_plan
 from .request import ExploreRequest
 from .scheduler import RequestScheduler
 from .serve_smoke import _call
@@ -109,7 +109,6 @@ def _replica_main(
         replica_id=f"replica-{index}",
         lease_ttl=LEASE_TTL,
         heartbeat_interval=LEASE_TTL / 4.0,
-        cancel_dir=base / "cancel",
         execution_journal=base / "executions.log",
     )
     hosted = ServerThread(scheduler).start()

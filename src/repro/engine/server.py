@@ -32,7 +32,7 @@ The SSE stream emits each :class:`~repro.engine.events.ProgressEvent` as
 the stream, so ``curl -N .../events`` renders a live training ticker.
 
 The engine's pipeline is synchronous, CPU-bound work; the asyncio loop
-never runs it.  The scheduler's worker threads (or processes) do, and the
+never runs it.  The scheduler's worker threads do, and the
 HTTP handlers only touch the scheduler's lock-guarded bookkeeping —
 blocking waits (SSE follow) hop onto the default executor via
 ``asyncio.to_thread`` so slow consumers cannot stall the accept loop.
@@ -72,6 +72,11 @@ from .store import ResultStore
 #: Upper bound on accepted request bodies (a declarative request is tiny).
 MAX_BODY_BYTES = 1 << 20
 
+#: Upper bound on header lines in one request head.  A client past it gets
+#: 431 instead of holding a connection handler in an endless header loop;
+#: each line is separately bounded by the stream's 64 KiB line limit.
+MAX_HEADER_LINES = 100
+
 #: How long one SSE poll blocks before emitting a heartbeat comment.
 SSE_POLL_SECONDS = 2.0
 
@@ -91,7 +96,9 @@ _REASONS = {
     405: "Method Not Allowed",
     409: "Conflict",
     413: "Payload Too Large",
+    414: "URI Too Long",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -164,17 +171,24 @@ class LinxHttpServer:
     async def _read_request(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> tuple[Optional[str], str, bytes]:
-        request_line = await reader.readline()
+        # ``readline`` raises ValueError for a line over the stream limit.
+        try:
+            request_line = await reader.readline()
+        except ValueError:
+            return await self._reject(writer, 414, "request line too long")
         if not request_line:
             return None, "", b""
         parts = request_line.decode("latin-1").split()
         if len(parts) < 2:
-            await self._respond(writer, 400, {"error": "malformed request line"})
-            return None, "", b""
+            return await self._reject(writer, 400, "malformed request line")
         method, path = parts[0].upper(), parts[1]
         content_length = 0
-        while True:
-            line = await reader.readline()
+        # One read more than the cap: the last one must be the blank line.
+        for _ in range(MAX_HEADER_LINES + 1):
+            try:
+                line = await reader.readline()
+            except ValueError:
+                return await self._reject(writer, 431, "header line too long")
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
@@ -184,13 +198,22 @@ class LinxHttpServer:
                 except ValueError:
                     content_length = -1
                 if content_length < 0:
-                    await self._respond(writer, 400, {"error": "bad Content-Length"})
-                    return None, "", b""
+                    return await self._reject(writer, 400, "bad Content-Length")
+        else:
+            return await self._reject(
+                writer, 431, f"more than {MAX_HEADER_LINES} header lines"
+            )
         if content_length > MAX_BODY_BYTES:
-            await self._respond(writer, 413, {"error": "request body too large"})
-            return None, "", b""
+            return await self._reject(writer, 413, "request body too large")
         body = await reader.readexactly(content_length) if content_length else b""
         return method, path, body
+
+    async def _reject(
+        self, writer: asyncio.StreamWriter, status: int, error: str
+    ) -> tuple[None, str, bytes]:
+        """Answer an unreadable request head; the connection then closes."""
+        await self._respond(writer, status, {"error": error})
+        return None, "", b""
 
     # -- routing -----------------------------------------------------------------------
     async def _dispatch(
@@ -471,12 +494,11 @@ def build_parser() -> argparse.ArgumentParser:
              "cdrl:<name>-v<N> session-generator stages",
     )
     parser.add_argument(
-        "--workers",
-        choices=("thread", "process"),
-        default="thread",
-        help="request execution mode",
+        "--max-workers",
+        type=int,
+        default=2,
+        help="worker threads; for more cores, run more replicas on one --store",
     )
-    parser.add_argument("--max-workers", type=int, default=2)
     parser.add_argument("--queue-size", type=int, default=64)
     parser.add_argument(
         "--timeout", type=float, default=None, help="default per-request timeout (s)"
@@ -485,8 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--batching",
         action="store_true",
         help="coalesce concurrent requests' policy forwards into shared "
-             "inference waves (bit-identical results, higher throughput; "
-             "thread workers only)",
+             "inference waves (bit-identical results, higher throughput)",
     )
     parser.add_argument(
         "--batch-linger-ms",
@@ -534,7 +555,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         store=store,
         max_pending=args.queue_size,
         max_workers=args.max_workers,
-        workers=args.workers,
         default_timeout=args.timeout,
         replica_id=args.replica_id,
         lease_ttl=args.lease_ttl,
@@ -559,7 +579,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         except (NotImplementedError, RuntimeError):  # pragma: no cover - non-POSIX
             pass
         print(f"linx engine serving on http://{server.host}:{server.port}")
-        print(f"  workers={args.workers} x{args.max_workers}, queue={args.queue_size}")
+        print(f"  {args.max_workers} worker threads, queue={args.queue_size}")
         print(f"  replica: {scheduler.replica_id} (lease ttl {args.lease_ttl:g}s)")
         if store is not None:
             print(f"  result store: {store.path} ({store.num_shards} shard(s))")

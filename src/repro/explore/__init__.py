@@ -10,13 +10,8 @@ from .action_space import (
     choice_from_index_map,
     choice_from_indices,
 )
-from .cache import CacheStats, ExecutionCache, ThreadSafeExecutionCache
-from .diskcache import (
-    DISK_SCHEMA_VERSION,
-    DiskCacheTier,
-    ThreadSafeTieredExecutionCache,
-    TieredExecutionCache,
-)
+from .cache import CacheStats, ExecutionCache
+from .diskcache import DISK_SCHEMA_VERSION, DiskCacheTier, TieredExecutionCache
 from .diversity import operation_distance, result_distance, session_diversity
 from .environment import (
     ExplorationEnvironment,
@@ -79,8 +74,6 @@ __all__ = [
     "RootOperation",
     "SessionNode",
     "StepResult",
-    "ThreadSafeExecutionCache",
-    "ThreadSafeTieredExecutionCache",
     "TieredExecutionCache",
     "VectorEnvironment",
     "VectorStepResult",

@@ -35,10 +35,11 @@ runtime (e.g. an ``AggregationError`` over mixed-type values) would
 otherwise re-execute from scratch on every repeat; the negative cache
 short-circuits them.
 
-The base cache is deliberately unsynchronised (the trainers are
-single-threaded); :class:`ThreadSafeExecutionCache` adds a lock for callers —
-like :class:`~repro.engine.core.LinxEngine` — that share one cache across a
-thread pool.
+Every public operation holds the cache's one reentrant lock, so a cache
+can be shared across a thread pool (as :class:`~repro.engine.core.LinxEngine`
+shares one across its requests).  Single-threaded callers — the trainers
+and benchmarks — take the lock uncontended, well under a microsecond per
+call.
 
 Bounding is two-dimensional: ``max_entries`` caps the *number* of cached
 result views, and the optional ``max_cached_rows`` caps the approximate
@@ -162,6 +163,10 @@ class ExecutionCache:
         self._row_counts: dict[CacheKey, int] = {}
         self._cached_rows = 0
         self._errors: "OrderedDict[CacheKey, str]" = OrderedDict()
+        #: Guards the LRU order, row accounting and statistics; reentrant so
+        #: tier layers can call public operations (``flush`` inside a put)
+        #: while already holding it.
+        self._lock = threading.RLock()
 
     @staticmethod
     def key_for(view: DataTable, operation: Operation) -> CacheKey:
@@ -192,16 +197,20 @@ class ExecutionCache:
 
     def get(self, view: DataTable, operation: Operation) -> DataTable | None:
         """The cached result view, or ``None`` (counts a hit or a miss)."""
-        result = self._fetch(self.key_for(view, operation))
-        if result is None:
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        return result
+        key = self.key_for(view, operation)
+        with self._lock:
+            result = self._fetch(key)
+            if result is None:
+                self.stats.misses += 1
+                return None
+            self.stats.hits += 1
+            return result
 
     def put(self, view: DataTable, operation: Operation, result: DataTable) -> None:
         """Store the result of executing *operation* on *view*."""
-        self._put_key(self.key_for(view, operation), result)
+        key = self.key_for(view, operation)
+        with self._lock:
+            self._put_key(key, result)
 
     def get_plan(self, base: DataTable, plan) -> DataTable | None:
         """The view cached under ``(base, canonical plan)``, or ``None``.
@@ -209,17 +218,21 @@ class ExecutionCache:
         Counts into the shared hit/miss statistics like :meth:`get`, plus
         ``stats.plan_hits`` so plan-level sharing is observable on its own.
         """
-        result = self._fetch(self.plan_key_for(base, plan))
-        if result is None:
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        self.stats.plan_hits += 1
-        return result
+        key = self.plan_key_for(base, plan)
+        with self._lock:
+            result = self._fetch(key)
+            if result is None:
+                self.stats.misses += 1
+                return None
+            self.stats.hits += 1
+            self.stats.plan_hits += 1
+            return result
 
     def put_plan(self, base: DataTable, plan, result: DataTable) -> None:
         """Store the result of executing the canonical *plan* on *base*."""
-        self._put_key(self.plan_key_for(base, plan), result)
+        key = self.plan_key_for(base, plan)
+        with self._lock:
+            self._put_key(key, result)
 
     def _store(self, key: CacheKey, result: DataTable) -> None:
         """Insert *result* under *key*, evicting per the entry/row budgets.
@@ -251,20 +264,22 @@ class ExecutionCache:
         caller is about to execute and will count the regular miss).
         """
         key = self.key_for(view, operation)
-        message = self._errors.get(key)
-        if message is None:
-            return None
-        self._errors.move_to_end(key)
-        self.stats.negative_hits += 1
-        return message
+        with self._lock:
+            message = self._errors.get(key)
+            if message is None:
+                return None
+            self._errors.move_to_end(key)
+            self.stats.negative_hits += 1
+            return message
 
     def put_error(self, view: DataTable, operation: Operation, message: str) -> None:
         """Memoise a runtime execution failure for ``(view, operation)``."""
         key = self.key_for(view, operation)
-        self._errors[key] = message
-        self._errors.move_to_end(key)
-        while len(self._errors) > self.max_error_entries:
-            self._errors.popitem(last=False)
+        with self._lock:
+            self._errors[key] = message
+            self._errors.move_to_end(key)
+            while len(self._errors) > self.max_error_entries:
+                self._errors.popitem(last=False)
 
     @property
     def cached_rows(self) -> int:
@@ -277,52 +292,58 @@ class ExecutionCache:
         return len(self._errors)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        with self._lock:
+            return len(self._entries)
 
     def __contains__(self, key: CacheKey) -> bool:
-        return key in self._entries
+        with self._lock:
+            return key in self._entries
 
     def clear(self) -> None:
         """Drop every entry (results and failures) and reset the statistics."""
-        self._entries.clear()
-        self._row_counts.clear()
-        self._cached_rows = 0
-        self._errors.clear()
-        self.stats.reset()
+        with self._lock:
+            self._entries.clear()
+            self._row_counts.clear()
+            self._cached_rows = 0
+            self._errors.clear()
+            self.stats.reset()
 
     @property
     def plan_entries(self) -> int:
         """Number of memory-tier entries stored under canonical-plan keys."""
-        return sum(
-            1
-            for key in self._entries
-            if key[1] and key[1][0] == PLAN_KEY_TAG
-        )
+        with self._lock:
+            return sum(
+                1
+                for key in self._entries
+                if key[1] and key[1][0] == PLAN_KEY_TAG
+            )
 
     def describe(self) -> dict[str, float | int | None]:
         """Hit/miss counters plus occupancy, for telemetry payloads."""
-        summary: dict[str, float | int | None] = dict(self.stats.as_dict())
-        summary["entries"] = len(self._entries)
-        summary["plan_entries"] = self.plan_entries
-        summary["cached_rows"] = self._cached_rows
-        summary["negative_entries"] = len(self._errors)
+        with self._lock:
+            summary: dict[str, float | int | None] = dict(self.stats.as_dict())
+            summary["entries"] = len(self._entries)
+            summary["plan_entries"] = self.plan_entries
+            summary["cached_rows"] = self._cached_rows
+            summary["negative_entries"] = len(self._errors)
         summary["max_entries"] = self.max_entries
         summary["max_cached_rows"] = self.max_cached_rows
         summary["max_error_entries"] = self.max_error_entries
         return summary
 
     def snapshot_counters(self) -> tuple[int, int, int, int, int]:
-        """A ``(hits, misses, evictions, plan_hits, fusion_count)`` snapshot.
+        """A consistent ``(hits, misses, evictions, plan_hits, fusion_count)`` snapshot.
 
         Used by the engine for per-request deltas.
         """
-        return (
-            self.stats.hits,
-            self.stats.misses,
-            self.stats.evictions,
-            self.stats.plan_hits,
-            self.stats.fusion_count,
-        )
+        with self._lock:
+            return (
+                self.stats.hits,
+                self.stats.misses,
+                self.stats.evictions,
+                self.stats.plan_hits,
+                self.stats.fusion_count,
+            )
 
     def __repr__(self) -> str:
         return (
@@ -331,87 +352,3 @@ class ExecutionCache:
             f"hits={self.stats.hits}, misses={self.stats.misses}, "
             f"hit_rate={self.stats.hit_rate:.2%})"
         )
-
-
-class LockGuardedCacheOps:
-    """Mixin wrapping the shared cache operations in ``self._lock``.
-
-    List this mixin *before* a concrete cache class and create
-    ``self._lock`` (a reentrant lock) in ``__init__``; every wrapper's
-    ``super()`` call then reaches the unguarded implementation.  Keeping
-    the wrapper set in one place means a new mutating cache operation only
-    needs its lock-guard added here to cover every thread-safe variant
-    (:class:`ThreadSafeExecutionCache` and
-    :class:`repro.explore.diskcache.ThreadSafeTieredExecutionCache`).
-    """
-
-    _lock: threading.RLock
-
-    def get(self, view: DataTable, operation: Operation) -> DataTable | None:
-        with self._lock:
-            return super().get(view, operation)
-
-    def put(self, view: DataTable, operation: Operation, result: DataTable) -> None:
-        with self._lock:
-            super().put(view, operation, result)
-
-    def get_plan(self, base: DataTable, plan) -> DataTable | None:
-        with self._lock:
-            return super().get_plan(base, plan)
-
-    def put_plan(self, base: DataTable, plan, result: DataTable) -> None:
-        with self._lock:
-            super().put_plan(base, plan, result)
-
-    def get_error(self, view: DataTable, operation: Operation) -> str | None:
-        with self._lock:
-            return super().get_error(view, operation)
-
-    def put_error(self, view: DataTable, operation: Operation, message: str) -> None:
-        with self._lock:
-            super().put_error(view, operation, message)
-
-    def clear(self) -> None:
-        with self._lock:
-            super().clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return super().__len__()
-
-    def __contains__(self, key: CacheKey) -> bool:
-        with self._lock:
-            return super().__contains__(key)
-
-    def describe(self) -> dict[str, float | int | None]:
-        with self._lock:
-            return super().describe()
-
-    def snapshot_counters(self) -> tuple[int, int, int, int, int]:
-        """A consistent ``(hits, misses, evictions, plan_hits, fusion_count)`` snapshot."""
-        with self._lock:
-            return super().snapshot_counters()
-
-
-class ThreadSafeExecutionCache(LockGuardedCacheOps, ExecutionCache):
-    """An :class:`ExecutionCache` whose operations are guarded by a lock.
-
-    Used when one cache is shared across a thread pool (e.g. by
-    :meth:`repro.engine.core.LinxEngine.explore_many`).  Every public
-    operation — lookup, insert, clear, length, telemetry — holds the same
-    reentrant lock, so the LRU order, row accounting and statistics stay
-    consistent under concurrent request execution.
-    """
-
-    def __init__(
-        self,
-        max_entries: int = DEFAULT_MAX_ENTRIES,
-        max_cached_rows: int | None = None,
-        max_error_entries: int = DEFAULT_MAX_ERROR_ENTRIES,
-    ):
-        super().__init__(
-            max_entries=max_entries,
-            max_cached_rows=max_cached_rows,
-            max_error_entries=max_error_entries,
-        )
-        self._lock = threading.RLock()

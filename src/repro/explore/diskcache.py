@@ -19,10 +19,9 @@ pool worker starts cold.  This module adds the durable tier:
   miss falls through to disk and promotes the row back into the LRU) and
   **batched write-behind** (inserts buffer in memory and land on disk in
   one transaction per :data:`DEFAULT_WRITE_BATCH` puts, or on
-  :meth:`~TieredExecutionCache.flush`).
-* :class:`ThreadSafeTieredExecutionCache` — the lock-guarded variant the
-  long-lived :class:`~repro.engine.core.LinxEngine` shares across worker
-  threads.
+  :meth:`~TieredExecutionCache.flush`).  Like its base, every public
+  operation holds the cache's one reentrant lock, so the long-lived
+  :class:`~repro.engine.core.LinxEngine` shares one across worker threads.
 
 Results are serialized structurally — per-column dtype string, raw data
 buffer and null-mask bytes — not as pickled object graphs, so a
@@ -63,7 +62,6 @@ from .cache import (
     DEFAULT_MAX_ERROR_ENTRIES,
     CacheKey,
     ExecutionCache,
-    LockGuardedCacheOps,
 )
 
 #: Version of the on-disk layout (sqlite schema + payload encoding + cache
@@ -422,6 +420,11 @@ class TieredExecutionCache(ExecutionCache):
     ``disk_*`` keys.
 
     Failure outcomes (:meth:`put_error`) stay in the memory tier only.
+
+    The disk tier has its own internal lock, but the memory LRU, the
+    write-behind buffer and the statistics are guarded by the base class's
+    lock, which :meth:`flush`, :meth:`close`, :meth:`clear` and
+    :meth:`describe` hold too.
     """
 
     def __init__(
@@ -495,27 +498,29 @@ class TieredExecutionCache(ExecutionCache):
         is logged, and subsequent flushes try again with fresh batches —
         a graceful memory-only fallback rather than a hard failure.
         """
-        if not self._pending:
-            return 0
-        try:
-            written = self.disk.put_many(self._pending.items())
-        except sqlite3.OperationalError as exc:
-            self.write_failures += 1
-            logger.warning(
-                "disk cache flush of %d entries failed (%s); "
-                "degrading to memory-only for this batch",
-                len(self._pending),
-                exc,
-            )
+        with self._lock:
+            if not self._pending:
+                return 0
+            try:
+                written = self.disk.put_many(self._pending.items())
+            except sqlite3.OperationalError as exc:
+                self.write_failures += 1
+                logger.warning(
+                    "disk cache flush of %d entries failed (%s); "
+                    "degrading to memory-only for this batch",
+                    len(self._pending),
+                    exc,
+                )
+                self._pending.clear()
+                return 0
             self._pending.clear()
-            return 0
-        self._pending.clear()
-        return written
+            return written
 
     def close(self) -> None:
         """Flush outstanding writes and close the disk tier."""
-        self.flush()
-        self.disk.close()
+        with self._lock:
+            self.flush()
+            self.disk.close()
 
     def __enter__(self) -> "TieredExecutionCache":
         return self
@@ -529,65 +534,26 @@ class TieredExecutionCache(ExecutionCache):
 
         Use ``cache.disk.clear()`` to also wipe the persistent tier.
         """
-        super().clear()
-        self._pending.clear()
+        with self._lock:
+            super().clear()
+            self._pending.clear()
 
     def describe(self) -> dict[str, Any]:
         """Counters and occupancy for *both* tiers."""
-        summary = super().describe()
-        summary["tiers"] = "memory+disk"
-        summary["pending_writes"] = len(self._pending)
-        summary["write_failures"] = self.write_failures
-        summary["disk_hits"] = self.disk.hits
-        summary["disk_misses"] = self.disk.misses
-        summary["disk_writes"] = self.disk.writes
-        summary["disk_flushes"] = self.disk.flushes
-        summary["disk_entries"] = len(self.disk)
-        summary["disk_stored_rows"] = self.disk.stored_rows()
+        with self._lock:
+            summary = super().describe()
+            summary["tiers"] = "memory+disk"
+            summary["pending_writes"] = len(self._pending)
+            summary["write_failures"] = self.write_failures
+            summary["disk_hits"] = self.disk.hits
+            summary["disk_misses"] = self.disk.misses
+            summary["disk_writes"] = self.disk.writes
+            summary["disk_flushes"] = self.disk.flushes
+            summary["disk_entries"] = len(self.disk)
+            summary["disk_stored_rows"] = self.disk.stored_rows()
         summary["disk_schema_version"] = DISK_SCHEMA_VERSION
         summary["disk_shards"] = self.disk.num_shards
         return summary
-
-
-class ThreadSafeTieredExecutionCache(LockGuardedCacheOps, TieredExecutionCache):
-    """A :class:`TieredExecutionCache` guarded by a reentrant lock.
-
-    The engine shares one of these across its worker threads (mirroring
-    :class:`~repro.explore.cache.ThreadSafeExecutionCache` for the memory-
-    only case; the shared wrapper set lives in
-    :class:`~repro.explore.cache.LockGuardedCacheOps`).  The disk tier has
-    its own internal lock, but the memory LRU, the write-behind buffer and
-    the statistics need this outer lock to stay consistent under
-    concurrent requests.  Only the tier-specific operations — ``flush``
-    and ``close`` — are wrapped here.
-    """
-
-    def __init__(
-        self,
-        disk: DiskCacheTier | str | Path,
-        max_entries: int = DEFAULT_MAX_ENTRIES,
-        max_cached_rows: int | None = None,
-        max_error_entries: int = DEFAULT_MAX_ERROR_ENTRIES,
-        write_batch_size: int = DEFAULT_WRITE_BATCH,
-        disk_shards: int = 1,
-    ):
-        super().__init__(
-            disk,
-            max_entries=max_entries,
-            max_cached_rows=max_cached_rows,
-            max_error_entries=max_error_entries,
-            write_batch_size=write_batch_size,
-            disk_shards=disk_shards,
-        )
-        self._lock = threading.RLock()
-
-    def flush(self) -> int:
-        with self._lock:
-            return super().flush()
-
-    def close(self) -> None:
-        with self._lock:
-            super().close()
 
 
 def iter_cache_keys(

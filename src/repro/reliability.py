@@ -23,8 +23,8 @@ seams every other layer threads through.
   :class:`threading.Event`, the cross-process cancellation registry
   entry: ``cancel()`` on one side touches a file, the engine's existing
   cooperative checkpoints on the other side poll it, so cancellation
-  reaches a request running in a process-pool worker (or another
-  replica's worker) that an in-memory event can never reach.
+  reaches a request running in an ``explore_many`` process-pool worker
+  that an in-memory event can never reach.
 * :func:`quarantine_sqlite` — crash-recovery for the stores themselves:
   a corrupt/truncated database file is renamed aside (never deleted,
   never reinterpreted) so the engine rebuilds a fresh store instead of
@@ -32,8 +32,9 @@ seams every other layer threads through.
 
 This module is deliberately stdlib-only and imports nothing from
 ``repro``, so both :mod:`repro.engine` and :mod:`repro.explore` can
-depend on it without import cycles.  The engine-facing harness module is
-:mod:`repro.engine.faults`, which re-exports everything here.
+depend on it without import cycles.  :mod:`repro.engine` re-exports the
+harness names tests and callers use most (:class:`FaultPlan`,
+:func:`install_plan`, :func:`clear_plan`, ...).
 """
 
 from __future__ import annotations
@@ -143,6 +144,45 @@ class FaultSpec:
 
 class FaultPlan:
     """A deterministic script of faults, replayed against the fault sites.
+
+    A plan scripts faults against the named sites threaded through the
+    store, scheduler, disk cache and engine seams::
+
+        from repro.reliability import FaultPlan, install_plan, clear_plan
+
+        install_plan(FaultPlan.crash_before_commit())
+        try:
+            ticket = scheduler.submit(request)        # executes, then "crashes"
+            scheduler.wait(ticket.ticket_id)          # -> failed, nothing stored
+        finally:
+            clear_plan()
+        scheduler.submit(request)                     # recovers: re-executes, stores once
+
+    The five scripted plans mirror the real failure modes of a
+    multi-replica deployment:
+
+    =============================  ===================================================
+    plan                           what it simulates
+    =============================  ===================================================
+    ``crash_after_claim()``        a replica dies the instant its lease commits (the
+                                   lease is held by a corpse; only expiry-based
+                                   takeover recovers it) — pass ``exit_code=`` to
+                                   hard-kill a subprocess replica for real
+    ``crash_before_commit()``      a replica dies after executing but before the
+                                   result-store commit (the work is lost and must be
+                                   re-executed exactly once)
+    ``sqlite_busy()``              a ``database is locked`` storm under multi-replica
+                                   write contention (every sqlite writer must degrade
+                                   to bounded retry, not request failure)
+    ``hung_stage()``               a stage stops making progress (the per-request
+                                   deadline must cut it loose at the next checkpoint)
+    ``torn_cache_write()``         a half-written disk-cache payload (reads must treat
+                                   it as a miss and repair, never crash or mis-serve)
+    =============================  ===================================================
+
+    Plans serialize to JSON and install through :data:`FAULT_PLAN_ENV`, so
+    subprocess replicas (``python -m repro.engine.serve_cluster``) inherit
+    their scripted crashes at import time.
 
     Thread-safe: site arrival counters advance under a lock, the (possibly
     slow or raising) fault action runs outside it.  ``fired`` counts how

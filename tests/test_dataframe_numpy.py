@@ -11,6 +11,7 @@ negative-result caching added to :class:`ExecutionCache`.
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -30,7 +31,6 @@ from repro.explore import (
     GroupAggOperation,
     QueryExecutor,
 )
-from repro.explore.cache import ThreadSafeExecutionCache
 
 # -- cell strategies: ints, floats (NaN included), strings, None -------------------------
 
@@ -369,13 +369,25 @@ class TestNegativeResultCaching:
 
     def test_thread_safe_cache_exposes_negative_api(self):
         table, _, _, operation = self._failing_setup()
-        cache = ThreadSafeExecutionCache(max_error_entries=4)
+        cache = ExecutionCache(max_error_entries=4)
         executor = QueryExecutor(cache=cache)
         with pytest.raises(ExecutionError):
             executor.execute(table, operation)
-        with pytest.raises(ExecutionError):
-            executor.execute(table, operation)
-        assert cache.stats.negative_hits == 1
+        # Threads sharing the cache all hit the memoised failure, and the
+        # cache's lock keeps every negative hit counted.
+        threads, repeats = 4, 50
+
+        def hammer() -> None:
+            for _ in range(repeats):
+                with pytest.raises(ExecutionError):
+                    executor.execute(table, operation)
+
+        workers = [threading.Thread(target=hammer) for _ in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
+        assert cache.stats.negative_hits == threads * repeats
 
     def test_invalid_max_error_entries_rejected(self):
         with pytest.raises(ValueError):

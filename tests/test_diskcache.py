@@ -17,7 +17,6 @@ from repro.explore.cache import ExecutionCache
 from repro.explore.diskcache import (
     DISK_SCHEMA_VERSION,
     DiskCacheTier,
-    ThreadSafeTieredExecutionCache,
     TieredExecutionCache,
     deserialize_table,
     encode_key,
@@ -202,7 +201,7 @@ class TestConcurrentWriters:
 
 class TestDescribe:
     def test_describe_covers_both_tiers(self, flights, db_path):
-        cache = ThreadSafeTieredExecutionCache(db_path, write_batch_size=2)
+        cache = TieredExecutionCache(db_path, write_batch_size=2)
         executor = QueryExecutor(cache=cache)
         for op in OPS:
             executor.execute(flights, op)

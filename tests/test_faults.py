@@ -1,6 +1,6 @@
 """Fault-injection matrix: every scripted failure recovers on its own.
 
-One proving test per :class:`~repro.engine.faults.FaultPlan` kind —
+One proving test per :class:`~repro.reliability.FaultPlan` kind —
 ``crash_after_claim``, ``crash_before_commit``, ``sqlite_busy``,
 ``hung_stage``, ``torn_cache_write`` — each asserting recovery without
 manual intervention and without duplicate execution, plus the primitives
@@ -32,7 +32,11 @@ from repro.engine import (
     ResultStore,
     SessionOutcome,
 )
-from repro.engine.faults import (
+from repro.explore import session_from_operations
+from repro.explore.cache import ExecutionCache
+from repro.explore.diskcache import DiskCacheTier, TieredExecutionCache
+from repro.explore.operations import FilterOperation, GroupAggOperation
+from repro.reliability import (
     KIND_CRASH,
     KIND_HANG,
     SITE_CACHE_WRITE,
@@ -49,10 +53,6 @@ from repro.engine.faults import (
     is_transient_sqlite_error,
     retry_sqlite,
 )
-from repro.explore import session_from_operations
-from repro.explore.cache import ExecutionCache
-from repro.explore.diskcache import DiskCacheTier, TieredExecutionCache
-from repro.explore.operations import FilterOperation, GroupAggOperation
 
 LDX = "ROOT CHILDREN <A1>\nA1 LIKE [G,.*]"
 
@@ -530,43 +530,3 @@ class TestProcessCancellation:
             timer.cancel()
             cancel.set()
             engine.close()
-
-    def test_scheduler_cancel_reaches_process_worker(self, tmp_path):
-        """cancel() on a running process-mode ticket terminates at a checkpoint,
-        writes no store row, and surfaces the cancelled stage status."""
-        engine = LinxEngine(cdrl_config=CdrlConfig(episodes=5_000))
-        store = ResultStore(tmp_path / "results.sqlite")
-        try:
-            with RequestScheduler(
-                engine, store=store, workers="process", max_workers=1,
-                cancel_dir=tmp_path / "cancel",
-            ) as scheduler:
-                ticket = scheduler.submit(
-                    _request(num_rows=100, episodes=5_000, seed=0)
-                )
-                # Wait until the worker has streamed its first episode event:
-                # the request is provably mid-stage in the other process.
-                deadline = time.monotonic() + 120
-                while not scheduler.status(ticket.ticket_id)["events_seen"]:
-                    assert time.monotonic() < deadline, "worker never started"
-                    time.sleep(0.05)
-                assert scheduler.cancel(ticket.ticket_id) is True
-                snapshot = scheduler.wait(ticket.ticket_id, timeout=120)
-                assert snapshot["state"] == TICKET_CANCELLED
-                assert snapshot["error_kind"] == "RequestCancelledError"
-                assert len(store) == 0
-                # The generate stage was marked cancelled inside the worker
-                # process (events may trail the terminal state briefly).
-                deadline = time.monotonic() + 10
-                while time.monotonic() < deadline:
-                    events, _, _ = scheduler.events_since(ticket.ticket_id)
-                    if any(
-                        event.payload.get("status") == "cancelled"
-                        for event in events
-                    ):
-                        break
-                    time.sleep(0.05)
-                else:  # pragma: no cover - assertion context on timeout
-                    raise AssertionError("no cancelled stage status event arrived")
-        finally:
-            store.close()

@@ -14,6 +14,8 @@ from repro.engine import (
     EVENT_REQUEST_FAILED,
     EVENT_REQUEST_FINISHED,
     EVENT_REQUEST_STARTED,
+    STAGE_GENERATE,
+    STATUS_CANCELLED,
     TICKET_CANCELLED,
     TICKET_DONE,
     TICKET_FAILED,
@@ -106,6 +108,27 @@ class TestLifecycle:
             assert all(event.request_id == "life" for event in events)
             payload = scheduler.result_payload(ticket.ticket_id)
             assert payload["operations"]
+
+    def test_episode_events_stream_then_replay_served_from_store(self, tmp_path):
+        engine = LinxEngine(cdrl_config=CdrlConfig(episodes=5))
+        store = ResultStore(tmp_path / "results.sqlite")
+        try:
+            with RequestScheduler(engine, store=store, max_workers=1) as scheduler:
+                ticket = scheduler.submit(_request(num_rows=100, episodes=5, seed=0))
+                snapshot = scheduler.wait(ticket.ticket_id, timeout=300)
+                assert snapshot["state"] == TICKET_DONE
+                events, _, done = scheduler.events_since(ticket.ticket_id)
+                assert done
+                kinds = [event.kind for event in events]
+                # Real CDRL training reports every episode on the ticket.
+                assert kinds.count(EVENT_EPISODE) == 5
+                assert kinds[0] == EVENT_REQUEST_STARTED
+                assert kinds[-1] == EVENT_REQUEST_FINISHED
+                # Identical resubmission is served from the store.
+                replay = scheduler.submit(_request(num_rows=100, episodes=5, seed=0))
+                assert scheduler.wait(replay.ticket_id, timeout=30)["served_from_store"]
+        finally:
+            store.close()
 
     def test_invalid_request_rejected_without_ticket(self):
         with _scheduler(max_workers=1) as scheduler:
@@ -241,6 +264,16 @@ class TestCancellation:
                 assert snapshot["state"] == TICKET_CANCELLED
                 assert snapshot["error_kind"] == "RequestCancelledError"
                 assert len(store) == 0
+                # The engine marked the interrupted stage on the ticket's
+                # event log before the scheduler closed it.
+                events, _, done = scheduler.events_since(ticket.ticket_id)
+                assert done
+                cancelled = [
+                    event for event in events
+                    if event.payload.get("status") == STATUS_CANCELLED
+                ]
+                assert cancelled and cancelled[0].stage == STAGE_GENERATE
+                assert events[-1].kind == EVENT_REQUEST_CANCELLED
         finally:
             release.set()
             store.close()
@@ -406,36 +439,6 @@ class TestConfigFingerprint:
             stages={"session_generator": "atena"},
         )
         assert a.config_fingerprint() != b.config_fingerprint()
-
-
-class TestProcessExecution:
-    def test_process_scheduler_streams_episode_events(self, tmp_path):
-        engine = LinxEngine(cdrl_config=CdrlConfig(episodes=5))
-        store = ResultStore(tmp_path / "results.sqlite")
-        try:
-            with RequestScheduler(
-                engine, store=store, workers="process", max_workers=1
-            ) as scheduler:
-                ticket = scheduler.submit(_request(num_rows=100, episodes=5, seed=0))
-                snapshot = scheduler.wait(ticket.ticket_id, timeout=300)
-                assert snapshot["state"] == TICKET_DONE
-                events, _, done = scheduler.events_since(ticket.ticket_id)
-                assert done
-                kinds = [event.kind for event in events]
-                # Episode-level progress crossed the process boundary.
-                assert EVENT_EPISODE in kinds
-                assert kinds[0] == EVENT_REQUEST_STARTED
-                assert kinds[-1] == EVENT_REQUEST_FINISHED
-                # Identical resubmission is served from the store.
-                replay = scheduler.submit(_request(num_rows=100, episodes=5, seed=0))
-                assert scheduler.wait(replay.ticket_id, timeout=30)["served_from_store"]
-        finally:
-            store.close()
-
-    def test_process_scheduler_rejects_custom_stage_objects(self):
-        engine = LinxEngine(session_generator=TickingGenerator())
-        with pytest.raises(ValueError):
-            RequestScheduler(engine, workers="process")
 
 
 class TestTerminalRetention:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import threading
 
 import pytest
@@ -17,7 +18,7 @@ from repro.engine import (
     SessionOutcome,
 )
 from repro.engine.serve_smoke import _call, _stream_events
-from repro.engine.server import ServerThread
+from repro.engine.server import MAX_HEADER_LINES, ServerThread
 from repro.explore import session_from_operations
 from repro.explore.operations import FilterOperation, GroupAggOperation
 
@@ -271,6 +272,81 @@ class TestErrorMapping:
                 assert "kaput" in body["error"]
         finally:
             scheduler.shutdown()
+
+
+def _raw_exchange(port: int, data: bytes) -> bytes:
+    """Send *data* on a raw socket and return every byte the server answers.
+
+    The send runs on its own thread: a server that answers early and closes
+    leaves the rest unread, so the send may block or fail.  A reset that
+    arrives after the answer counts as the end of the answer.
+    """
+    sock = socket.create_connection(("127.0.0.1", port), timeout=30)
+
+    def send() -> None:
+        try:
+            sock.sendall(data)
+        except OSError:
+            pass
+
+    sender = threading.Thread(target=send, daemon=True)
+    sender.start()
+    chunks = []
+    try:
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    except ConnectionResetError:
+        pass
+    finally:
+        sock.close()
+        sender.join(timeout=30)
+    return b"".join(chunks)
+
+
+def _status_and_body(answer: bytes) -> tuple[int, dict]:
+    head, _, body = answer.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
+
+
+class TestRequestHeadBounds:
+    def test_header_line_over_stream_limit_is_431(self, served):
+        port, _ = served
+        answer = _raw_exchange(
+            port, b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n"
+        )
+        status, body = _status_and_body(answer)
+        assert status == 431
+        assert "header line too long" in body["error"]
+
+    def test_endless_header_lines_are_cut_off_with_431(self, served):
+        port, _ = served
+        answer = _raw_exchange(
+            port, b"GET /healthz HTTP/1.1\r\n" + b"X-Pad: 1\r\n" * 20_000
+        )
+        status, body = _status_and_body(answer)
+        assert status == 431
+        assert str(MAX_HEADER_LINES) in body["error"]
+
+    def test_head_at_the_line_cap_is_served(self, served):
+        port, _ = served
+        answer = _raw_exchange(
+            port,
+            b"GET /healthz HTTP/1.1\r\n"
+            + b"X-Pad: 1\r\n" * MAX_HEADER_LINES
+            + b"\r\n",
+        )
+        status, body = _status_and_body(answer)
+        assert status == 200
+        assert body["status"] == "ok"
+
+    def test_request_line_over_stream_limit_is_414(self, served):
+        port, _ = served
+        answer = _raw_exchange(port, b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n")
+        status, _ = _status_and_body(answer)
+        assert status == 414
 
 
 class TestCancelEndpoint:
