@@ -323,6 +323,18 @@ class LinxCdrlAgent:
         if self._best_compliant is None or utility > self._best_compliant[1]:
             self._best_compliant = (session, utility)
 
+    def tracking(
+        self, callback: Optional[Callable[[int, float, ExplorationSession], None]] = None
+    ) -> Callable[[int, float, ExplorationSession], None]:
+        """An episode callback that tracks the best compliant session, then calls *callback*."""
+
+        def per_episode(episode: int, episode_return: float, session: ExplorationSession) -> None:
+            self._track_best(episode, episode_return, session)
+            if callback is not None:
+                callback(episode, episode_return, session)
+
+        return per_episode
+
     def run(
         self,
         episodes: Optional[int] = None,
@@ -339,11 +351,7 @@ class LinxCdrlAgent:
         per-episode progress events to observers.
         """
 
-        def per_episode(episode: int, episode_return: float, session: ExplorationSession) -> None:
-            self._track_best(episode, episode_return, session)
-            if episode_callback is not None:
-                episode_callback(episode, episode_return, session)
-
+        per_episode = self.tracking(episode_callback)
         if self.batcher is not None:
             return self._run_batched(episodes, per_episode)
         return self._run(episodes, per_episode)
@@ -390,7 +398,14 @@ class LinxCdrlAgent:
             batcher.detach(member)
 
     def _run(self, episodes, per_episode) -> CdrlResult:
-        history = self.trainer.train(episodes=episodes, callback=per_episode)
+        return self.result(self.trainer.train(episodes=episodes, callback=per_episode))
+
+    def result(self, history: TrainingHistory) -> CdrlResult:
+        """The outcome of the training run that produced *history*.
+
+        The best fully compliant session :meth:`_track_best` saw, else the
+        best session the trained policy produces now.
+        """
         if self._best_compliant is not None:
             session, utility = self._best_compliant
         else:

@@ -77,6 +77,12 @@ MAX_BODY_BYTES = 1 << 20
 #: each line is separately bounded by the stream's 64 KiB line limit.
 MAX_HEADER_LINES = 100
 
+#: Deadline, in seconds, for receiving a whole request: request line,
+#: headers and body.  A client that has not sent it all by then gets 408
+#: and the connection closes, so a slow or stalled client cannot hold a
+#: connection handler.  Response streams (SSE) are not under this deadline.
+REQUEST_READ_TIMEOUT_S = 30.0
+
 #: How long one SSE poll blocks before emitting a heartbeat comment.
 SSE_POLL_SECONDS = 2.0
 
@@ -94,6 +100,7 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     409: "Conflict",
     413: "Payload Too Large",
     414: "URI Too Long",
@@ -171,47 +178,19 @@ class LinxHttpServer:
     async def _read_request(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> tuple[Optional[str], str, bytes]:
-        # ``readline`` raises ValueError for a line over the stream limit.
-        try:
-            request_line = await reader.readline()
-        except ValueError:
-            return await self._reject(writer, 414, "request line too long")
-        if not request_line:
-            return None, "", b""
-        parts = request_line.decode("latin-1").split()
-        if len(parts) < 2:
-            return await self._reject(writer, 400, "malformed request line")
-        method, path = parts[0].upper(), parts[1]
-        content_length = 0
-        # One read more than the cap: the last one must be the blank line.
-        for _ in range(MAX_HEADER_LINES + 1):
-            try:
-                line = await reader.readline()
-            except ValueError:
-                return await self._reject(writer, 431, "header line too long")
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            if name.strip().lower() == "content-length":
-                try:
-                    content_length = int(value.strip())
-                except ValueError:
-                    content_length = -1
-                if content_length < 0:
-                    return await self._reject(writer, 400, "bad Content-Length")
-        else:
-            return await self._reject(
-                writer, 431, f"more than {MAX_HEADER_LINES} header lines"
-            )
-        if content_length > MAX_BODY_BYTES:
-            return await self._reject(writer, 413, "request body too large")
-        body = await reader.readexactly(content_length) if content_length else b""
-        return method, path, body
+        """Read one request under :data:`REQUEST_READ_TIMEOUT_S`.
 
-    async def _reject(
-        self, writer: asyncio.StreamWriter, status: int, error: str
-    ) -> tuple[None, str, bytes]:
-        """Answer an unreadable request head; the connection then closes."""
+        Returns ``(None, "", b"")`` when the client sent nothing or the
+        request was answered with an error (the connection then closes).
+        """
+        try:
+            return await asyncio.wait_for(
+                _receive_request(reader), REQUEST_READ_TIMEOUT_S
+            )
+        except _UnreadableRequest as exc:
+            status, error = exc.args
+        except asyncio.TimeoutError:
+            status, error = 408, f"request not received within {REQUEST_READ_TIMEOUT_S:g}s"
         await self._respond(writer, status, {"error": error})
         return None, "", b""
 
@@ -393,6 +372,49 @@ class LinxHttpServer:
         await writer.drain()
 
 
+class _UnreadableRequest(Exception):
+    """A request head the server answers with ``(status, error)`` and closes."""
+
+
+async def _receive_request(
+    reader: asyncio.StreamReader,
+) -> tuple[Optional[str], str, bytes]:
+    # ``readline`` raises ValueError for a line over the stream limit.
+    try:
+        request_line = await reader.readline()
+    except ValueError:
+        raise _UnreadableRequest(414, "request line too long") from None
+    if not request_line:
+        return None, "", b""
+    parts = request_line.decode("latin-1").split()
+    if len(parts) < 2:
+        raise _UnreadableRequest(400, "malformed request line")
+    method, path = parts[0].upper(), parts[1]
+    content_length = 0
+    # One read more than the cap: the last one must be the blank line.
+    for _ in range(MAX_HEADER_LINES + 1):
+        try:
+            line = await reader.readline()
+        except ValueError:
+            raise _UnreadableRequest(431, "header line too long") from None
+        if line in (b"\r\n", b"\n", b""):
+            break
+        name, _, value = line.decode("latin-1").partition(":")
+        if name.strip().lower() == "content-length":
+            try:
+                content_length = int(value.strip())
+            except ValueError:
+                content_length = -1
+            if content_length < 0:
+                raise _UnreadableRequest(400, "bad Content-Length")
+    else:
+        raise _UnreadableRequest(431, f"more than {MAX_HEADER_LINES} header lines")
+    if content_length > MAX_BODY_BYTES:
+        raise _UnreadableRequest(413, "request body too large")
+    body = await reader.readexactly(content_length) if content_length else b""
+    return method, path, body
+
+
 def _head(status: int, headers: dict[str, str]) -> bytes:
     reason = _REASONS.get(status, "Unknown")
     lines = [f"HTTP/1.1 {status} {reason}"]
@@ -441,6 +463,14 @@ class ServerThread:
         try:
             self._loop.run_until_complete(main())
         finally:
+            # Connection handlers outlive the server task: cancel them and
+            # let them unwind (closing their sockets) before the loop closes.
+            pending = asyncio.all_tasks(self._loop)
+            for task in pending:
+                task.cancel()
+            self._loop.run_until_complete(
+                asyncio.gather(*pending, return_exceptions=True)
+            )
             self._loop.close()
 
     def stop(self) -> None:

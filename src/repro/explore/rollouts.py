@@ -349,18 +349,6 @@ class RolloutBatch:
     def total_steps(self) -> int:
         return sum(len(buffer) for buffer in self.buffers)
 
-    def operation_signatures(self) -> list[list[tuple]]:
-        """Per-episode operation signatures, in episode order.
-
-        Signatures are primitive tuples (the same declarative form
-        ``ExploreResult`` persists), so actor processes can ship what each
-        episode *did* back to the learner without pickling session objects.
-        """
-        return [
-            [operation.signature() for operation in session.operations]
-            for session in self.sessions
-        ]
-
 
 _SENTINEL = object()
 

@@ -11,9 +11,10 @@ episode (the historical path).  When the trainer is given a
 :class:`~repro.explore.rollouts.VectorEnvironment` (and ``num_envs > 1`` in
 the config), episodes are collected in lock-step *waves* of K environments
 sharing one execution cache — one batched policy forward per step instead of
-K — via :func:`repro.explore.rollouts.collect_rollouts`.  Wave episodes
-sample from per-episode RNG streams derived from ``(seed, episode_index)``,
-so a training run is reproducible for a given ``(seed, num_envs)``
+K — via :meth:`PolicyGradientTrainer.collect_waves`, the one wave loop
+(the checkpointing learner of :mod:`repro.train` drives it too).  Wave
+episodes sample from per-episode RNG streams derived from
+``(seed, episode_index)``, so a training run is reproducible for a given ``(seed, num_envs)``
 configuration.  Different ``num_envs`` values are *not* interchangeable:
 every episode of a wave is collected with the wave's starting weights, so
 changing K changes how sampling interleaves with gradient updates (the
@@ -24,7 +25,7 @@ rollout-level bit-identity guarantee belongs to ``collect_rollouts`` vs
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 import numpy as np
 
@@ -216,10 +217,9 @@ class PolicyGradientTrainer:
         self.history = TrainingHistory()
         self._elite: list[EpisodeBuffer] = []
         #: Episodes collected since the last gradient update.  Held on the
-        #: trainer (not local to :meth:`train`) so external drivers — the
-        #: actor/learner fleet — can feed episodes through
-        #: :meth:`record_episode` and checkpoints can persist a mid-batch
-        #: position exactly.
+        #: trainer (not local to :meth:`train`) so a resumable driver — the
+        #: checkpointing learner of :mod:`repro.train` — can stop between
+        #: waves and checkpoints can persist a mid-batch position exactly.
         self._batch: list[EpisodeBuffer] = []
 
     # -- rollout -------------------------------------------------------------------------
@@ -252,30 +252,54 @@ class PolicyGradientTrainer:
         evaluations — is identical in both modes.
         """
         total_episodes = episodes if episodes is not None else self.config.episodes
-        num_envs = self.config.num_envs
-        if num_envs > 1 and self.vector_environment is not None:
-            from repro.explore.rollouts import collect_rollouts
-
-            episode = 0
-            while episode < total_episodes:
-                wave = min(num_envs, total_episodes - episode)
-                rollout = collect_rollouts(
-                    self.vector_environment,
-                    self.policy,
-                    seed=self.config.seed,
-                    episode_base=episode,
-                    num_episodes=wave,
-                    decision_to_choice=self.decision_to_choice,
-                    reward_scale=self.config.reward_scale,
-                )
-                for buffer, session in zip(rollout.buffers, rollout.sessions):
-                    self.record_episode(episode, buffer, session, callback=callback)
-                    episode += 1
+        if self.config.num_envs > 1 and self.vector_environment is not None:
+            for _ in self.collect_waves(0, total_episodes, callback=callback):
+                pass
         else:
             for episode in range(total_episodes):
                 buffer, session = self.run_episode(greedy=False)
                 self.record_episode(episode, buffer, session, callback=callback)
         return self.finish_training()
+
+    def collect_waves(
+        self,
+        start_episode: int,
+        total_episodes: int,
+        callback: Optional[Callable[[int, float, ExplorationSession], None]] = None,
+    ) -> Iterator[int]:
+        """Collect and record waves from *start_episode*, yielding at wave boundaries.
+
+        Each wave runs up to ``config.num_envs`` lock-step episodes with
+        :func:`~repro.explore.rollouts.collect_rollouts` and feeds them to
+        :meth:`record_episode` in episode order; after each wave the
+        generator yields the number of episodes completed.  Wave sizes
+        follow the uninterrupted schedule (``min(num_envs, total -
+        completed)``), so a caller that stops at a wave boundary and later
+        resumes from that episode replays the identical sequence of waves.
+        Without a vector environment the primary environment forms a
+        one-wide wave.
+        """
+        from repro.explore.rollouts import VectorEnvironment, collect_rollouts
+
+        vector_environment = self.vector_environment or VectorEnvironment(
+            [self.environment]
+        )
+        episode = start_episode
+        while episode < total_episodes:
+            wave = min(self.config.num_envs, total_episodes - episode)
+            rollout = collect_rollouts(
+                vector_environment,
+                self.policy,
+                seed=self.config.seed,
+                episode_base=episode,
+                num_episodes=wave,
+                decision_to_choice=self.decision_to_choice,
+                reward_scale=self.config.reward_scale,
+            )
+            for buffer, session in zip(rollout.buffers, rollout.sessions):
+                self.record_episode(episode, buffer, session, callback=callback)
+                episode += 1
+            yield episode
 
     def record_episode(
         self,
@@ -286,11 +310,9 @@ class PolicyGradientTrainer:
     ) -> None:
         """Account one collected episode: history, batching, elites, greedy evals.
 
-        This is the per-episode half of :meth:`train`, exposed so external
-        collectors (the actor/learner fleet in :mod:`repro.train`) can drive
-        the exact same bookkeeping with episodes they gathered elsewhere.
-        Gradient updates fire whenever the pending batch reaches
-        ``config.batch_episodes``.
+        This is the per-episode half of :meth:`train` and
+        :meth:`collect_waves`.  Gradient updates fire whenever the pending
+        batch reaches ``config.batch_episodes``.
         """
         self.history.episode_returns.append(buffer.total_reward())
         self.history.episode_steps.append(len(buffer))

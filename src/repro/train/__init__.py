@@ -1,18 +1,15 @@
-"""Distributed training tier: actor/learner fleet, checkpoints, policy registry.
+"""Offline training tier: checkpointing learner, checkpoints, policy registry.
 
-The training loop of :mod:`repro.cdrl` runs one process.  This package turns
-it into an operable fleet:
+The training loop of :mod:`repro.cdrl` trains one policy per request.  This
+package trains a policy offline, survives interruption, and serves it:
 
 * :mod:`repro.train.checkpoint` — schema-versioned, bit-identical training
   checkpoints (network weights, optimizer moments, pending gradient batch,
   elite replay set and history), so resume-at-episode-k equals an
   uninterrupted run exactly.
-* :mod:`repro.train.actor` — actor processes that collect rollout waves over
-  the shared disk execution cache, rebuilt declaratively from a primitive
-  spec like ``explore_many(workers="process")`` workers are.
-* :mod:`repro.train.learner` — the synchronous learner that aggregates actor
-  waves into the trainer's gradient batches, keeping W actors × K envs
-  bit-identical to single-process ``num_envs=W*K`` training.
+* :mod:`repro.train.learner` — the :class:`Learner`, which collects
+  lock-step waves of the spec's ``num_envs`` episodes in-process through
+  the trainer's own wave loop and checkpoints at wave boundaries.
 * :mod:`repro.train.registry` — a sqlite-backed :class:`PolicyRegistry` of
   named, versioned policy artifacts that self-registers session-generator
   factories (``cdrl:<name>-v<N>``) into the serving tier's stage registry.
@@ -26,12 +23,12 @@ from .checkpoint import (
     TrainingCheckpoint,
     TrainSpec,
 )
-from .learner import FleetLearner
+from .learner import Learner
 from .registry import PolicyRegistry, RegisteredPolicySessionGenerator
 
 __all__ = [
     "CHECKPOINT_SCHEMA_VERSION",
-    "FleetLearner",
+    "Learner",
     "PolicyRegistry",
     "RegisteredPolicySessionGenerator",
     "TrainSpec",

@@ -77,9 +77,9 @@ class TrainSpec:
     """What to train on, declaratively: a named dataset plus LDX and config.
 
     Everything is a primitive (or reduces to primitives via
-    :meth:`to_payload`), so the same spec can rebuild identical training
-    contexts in the learner, in every actor process, and on resume — the
-    pattern ``LinxEngine.worker_spec()`` established for ``explore_many``.
+    :meth:`to_payload`), so a checkpoint or registry artifact that embeds
+    the payload rebuilds the identical training context on resume and at
+    serving time.  ``config.num_envs`` is the learner's wave size.
     """
 
     dataset: str
@@ -110,20 +110,9 @@ class TrainSpec:
     def load_table(self) -> DataTable:
         return load_dataset(self.dataset, num_rows=self.num_rows, seed=self.dataset_seed)
 
-    def build_agent(self, *, num_envs: Optional[int] = None, cache=None) -> LinxCdrlAgent:
-        """Construct the CDRL agent this spec describes.
-
-        ``num_envs`` overrides both the agent-level and trainer-level knobs
-        (the learner trains with 1 driving env; actors with their own K).
-        """
-        config = self.config
-        if num_envs is not None:
-            config = dataclasses.replace(
-                config,
-                num_envs=num_envs,
-                trainer=dataclasses.replace(config.trainer, num_envs=num_envs),
-            )
-        return LinxCdrlAgent(self.load_table(), self.ldx_text, config=config, cache=cache)
+    def build_agent(self) -> LinxCdrlAgent:
+        """Construct the CDRL agent this spec describes."""
+        return LinxCdrlAgent(self.load_table(), self.ldx_text, config=self.config)
 
 
 # -- episode-buffer serialization ----------------------------------------------------

@@ -1,18 +1,18 @@
-"""The synchronous learner driving an actor fleet.
+"""The checkpointing learner: offline CDRL training that can stop and resume.
 
-The learner owns the authoritative policy, optimizer and
-:class:`~repro.rl.trainer.PolicyGradientTrainer` bookkeeping; actors only
-collect.  Each iteration exports the current weights, has the fleet collect
-one wave of global episodes, and feeds the returned buffers through
-``trainer.record_episode`` in episode order — the exact code path the
-single-process trainer runs — so gradient batching, elite replay, greedy
-evaluations and history are all shared, not reimplemented.
+The learner builds the agent its :class:`~repro.train.checkpoint.TrainSpec`
+describes and trains it with
+:meth:`~repro.rl.trainer.PolicyGradientTrainer.collect_waves` — the same
+wave loop ``trainer.train()`` runs for ``num_envs > 1`` — so gradient
+batching, elite replay, greedy evaluations and history are shared, not
+reimplemented.  The wave size is the spec's ``num_envs``.
 
 Bit-identity invariant: every episode of a wave is collected with the
 wave-start weights and samples from its own ``(seed, episode_index)``
-stream, so W actors × K envs reproduces single-process ``num_envs=W*K``
-training weight-for-weight.  Checkpoints are taken at wave boundaries
-(:mod:`repro.train.checkpoint`), making kill-and-resume equally exact.
+stream, so the RNG "position" of a run is ``(seed, episodes_completed)``.
+Checkpoints are taken at wave boundaries (:mod:`repro.train.checkpoint`),
+which makes kill-and-resume exact: the resumed run finishes with the
+weights, optimizer state and history of the uninterrupted one.
 """
 
 from __future__ import annotations
@@ -23,23 +23,13 @@ from typing import Callable, Optional
 from repro.cdrl.agent import CdrlResult
 from repro.explore.operations import operation_from_signature
 from repro.explore.session import session_from_operations
-from repro.ldx.verifier import verify, verify_structure
-from repro.rl.trainer import TrainingHistory
 
-from .actor import ActorFleet
-from .checkpoint import (
-    TrainingCheckpoint,
-    TrainSpec,
-    capture,
-    deserialize_buffer,
-    restore_into,
-)
+from .checkpoint import TrainingCheckpoint, TrainSpec, capture, restore_into
 
 
-class FleetLearner:
-    """Trains a CDRL policy with W actor processes × K envs each.
+class Learner:
+    """Trains the CDRL policy a :class:`TrainSpec` describes, in waves.
 
-    Parameters mirror :class:`~repro.train.actor.ActorFleet`;
     ``checkpoint_path`` (with ``checkpoint_every``, in waves) enables
     periodic wave-boundary checkpoints, and :meth:`from_checkpoint` resumes
     one bit-identically.
@@ -49,35 +39,18 @@ class FleetLearner:
         self,
         spec: TrainSpec,
         *,
-        num_actors: int = 2,
-        envs_per_actor: int = 1,
-        workers: str = "process",
-        disk_cache_path: str | None = None,
         checkpoint_path: str | os.PathLike | None = None,
         checkpoint_every: int = 1,
     ):
         if checkpoint_every < 1:
             raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
         self.spec = spec
-        # The learner drives a single environment: it never collects waves
-        # itself (actors do), but greedy evaluations and the final
-        # best-session sweep run here, on the same primary environment the
-        # single-process trainer would use.
-        self.agent = spec.build_agent(num_envs=1)
+        self.agent = spec.build_agent()
         self.trainer = self.agent.trainer
-        self.fleet = ActorFleet(
-            spec,
-            num_actors=num_actors,
-            envs_per_actor=envs_per_actor,
-            workers=workers,
-            disk_cache_path=disk_cache_path,
-        )
         self.total_episodes = spec.config.episodes
         self.episodes_completed = 0
         self.checkpoint_path = os.fspath(checkpoint_path) if checkpoint_path else None
         self.checkpoint_every = checkpoint_every
-        #: Best fully-compliant episode seen, as (operation signatures, utility).
-        self._best: Optional[tuple[list, float]] = None
 
     # -- resume ----------------------------------------------------------------------
     @classmethod
@@ -85,48 +58,50 @@ class FleetLearner:
         cls,
         path: str | os.PathLike,
         *,
-        num_actors: int = 2,
-        envs_per_actor: int = 1,
-        workers: str = "process",
-        disk_cache_path: str | None = None,
         checkpoint_path: str | os.PathLike | None = None,
         checkpoint_every: int = 1,
-    ) -> "FleetLearner":
+    ) -> "Learner":
         """Rebuild a learner from a checkpoint, positioned to continue exactly.
 
-        The fleet shape (W, K) is operational, not semantic: any shape
-        resumes any checkpoint with identical results, because episode RNG
-        depends only on the global episode index.
+        The wave size comes from the checkpointed spec's ``num_envs``.
         """
         checkpoint = TrainingCheckpoint.load(path)
         learner = cls(
             TrainSpec.from_payload(checkpoint.spec),
-            num_actors=num_actors,
-            envs_per_actor=envs_per_actor,
-            workers=workers,
-            disk_cache_path=disk_cache_path,
             checkpoint_path=checkpoint_path if checkpoint_path is not None else path,
             checkpoint_every=checkpoint_every,
         )
         restore_into(checkpoint, learner.trainer)
         learner.episodes_completed = checkpoint.episodes_completed
         learner.total_episodes = checkpoint.total_episodes
-        learner._best = (
-            (list(checkpoint.best_compliant[0]), float(checkpoint.best_compliant[1]))
-            if checkpoint.best_compliant is not None
-            else None
-        )
+        if checkpoint.best_compliant is not None:
+            signatures, utility = checkpoint.best_compliant
+            agent = learner.agent
+            session = session_from_operations(
+                agent.dataset,
+                [operation_from_signature(signature) for signature in signatures],
+                cache=agent.cache,
+            )
+            agent._best_compliant = (session, float(utility))
         return learner
 
     # -- checkpointing ---------------------------------------------------------------
     def checkpoint(self) -> TrainingCheckpoint:
         """Snapshot the current training position (call at wave boundaries)."""
+        best = self.agent._best_compliant
         return capture(
             self.spec.to_payload(),
             self.trainer,
             episodes_completed=self.episodes_completed,
             total_episodes=self.total_episodes,
-            best_compliant=self._best,
+            best_compliant=(
+                (
+                    [list(operation.signature()) for operation in best[0].operations],
+                    float(best[1]),
+                )
+                if best is not None
+                else None
+            ),
         )
 
     def save_checkpoint(self) -> None:
@@ -134,44 +109,25 @@ class FleetLearner:
             self.checkpoint().save(self.checkpoint_path)
 
     # -- training --------------------------------------------------------------------
-    def _track(self, record: dict) -> None:
-        if not record["compliant"]:
-            return
-        utility = record["utility"]
-        if self._best is None or utility > self._best[1]:
-            self._best = (list(record["operations"]), float(utility))
-
     def _run_waves(
         self,
         episode_target: int,
         callback: Optional[Callable[[int, float, object], None]],
     ) -> None:
-        """Collect and record waves until ``episodes_completed >= episode_target``.
-
-        Wave sizes follow the uninterrupted schedule (``min(M, total -
-        completed)``), so stopping early at a wave boundary and resuming
-        later replays the identical sequence of waves.
-        """
-        waves_done = 0
-        while self.episodes_completed < min(episode_target, self.total_episodes):
-            wave = min(self.fleet.num_envs, self.total_episodes - self.episodes_completed)
-            weights = self.trainer.policy.network.export_state()
-            records = self.fleet.collect_wave(weights, self.episodes_completed, wave)
-            for record in records:
-                buffer = deserialize_buffer(record["buffer"])
-
-                def per_episode(episode: int, episode_return: float, _session) -> None:
-                    self._track(record)
-                    if callback is not None:
-                        callback(episode, episode_return, None)
-
-                self.trainer.record_episode(
-                    self.episodes_completed, buffer, None, callback=per_episode
-                )
-                self.episodes_completed += 1
-            waves_done += 1
+        """Collect and record waves until ``episodes_completed >= episode_target``."""
+        if self.episodes_completed >= episode_target:
+            return
+        waves = self.trainer.collect_waves(
+            self.episodes_completed,
+            self.total_episodes,
+            callback=self.agent.tracking(callback),
+        )
+        for waves_done, completed in enumerate(waves, start=1):
+            self.episodes_completed = completed
             if self.checkpoint_path and waves_done % self.checkpoint_every == 0:
                 self.save_checkpoint()
+            if completed >= episode_target:
+                break
 
     def collect_until(
         self,
@@ -198,27 +154,7 @@ class FleetLearner:
         # flushed), so resuming from it and calling train() again applies
         # nothing twice.
         self.save_checkpoint()
-        return self._finalise(history)
-
-    def _finalise(self, history: TrainingHistory) -> CdrlResult:
-        if self._best is not None:
-            signatures, utility = self._best
-            operations = [operation_from_signature(sig) for sig in signatures]
-            session = session_from_operations(
-                self.agent.dataset, operations, cache=self.agent.cache
-            )
-        else:
-            session, _ = self.trainer.best_session(attempts=5)
-            utility = self.agent._generic_reward.session_score(session)
-        tree = session.to_tree()
-        return CdrlResult(
-            session=session,
-            fully_compliant=verify(tree, self.agent.query),
-            structurally_compliant=verify_structure(tree, self.agent.query),
-            utility_score=float(utility),
-            history=history,
-            episodes_trained=len(history.episode_returns),
-        )
+        return self.agent.result(history)
 
     # -- publishing ------------------------------------------------------------------
     def publish(self, registry, name: str, *, metrics: dict | None = None) -> int:
@@ -232,12 +168,3 @@ class FleetLearner:
             self.checkpoint(),
             metrics=metrics or {},
         )
-
-    def close(self) -> None:
-        self.fleet.close()
-
-    def __enter__(self) -> "FleetLearner":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -1,14 +1,13 @@
-"""Training-tier smoke check: fleet bit-identity, resume, publish, serve.
+"""Training-tier smoke check: learner identity, resume, publish, serve.
 
-Run by CI (``python -m repro.train.smoke``) to gate the distributed
-training tier's load-bearing guarantees end to end:
+Run by CI (``python -m repro.train.smoke``) to gate the training tier's
+load-bearing guarantees end to end:
 
-* a 2-actor fleet (inline) trains **bit-identical** to the single-process
-  trainer with ``num_envs=2`` — same final weights, same history;
-* a *process* fleet killed at a wave boundary and resumed from its
-  checkpoint (with a different fleet shape) finishes with the same final
-  weights — kill-and-resume is exact, and the fleet shape is operational,
-  not semantic;
+* the :class:`~repro.train.learner.Learner` trains **bit-identical** to the
+  single-process trainer at the same ``num_envs`` — same final weights,
+  same history;
+* a run killed at a wave boundary and resumed from its checkpoint finishes
+  with the same final weights and history;
 * the trained policy publishes to a :class:`~repro.train.registry.PolicyRegistry`
   and is served over HTTP: an ``ExploreRequest`` naming
   ``stages={"session_generator": "cdrl:smoke-v1"}`` returns a session from
@@ -29,7 +28,7 @@ from typing import Any
 from repro.cdrl.agent import CdrlConfig
 
 from .checkpoint import TrainSpec
-from .learner import FleetLearner
+from .learner import Learner
 from .registry import PolicyRegistry
 
 SMOKE_LDX = """
@@ -43,6 +42,7 @@ B2 LIKE [G,(?<Y>.*),mean,(?<Z>.*)]
 NUM_ROWS = 150
 EPISODES = 8
 SEED = 3
+NUM_ENVS = 2
 
 
 def _call(
@@ -61,7 +61,7 @@ def _call(
 
 
 def _history_fields(history_dict: dict) -> dict:
-    """History minus cache_stats (actors and trainer cache independently)."""
+    """History minus cache_stats (a resumed run starts with a cold cache)."""
     return {
         key: history_dict[key]
         for key in ("episode_returns", "episode_steps", "greedy_returns")
@@ -73,72 +73,57 @@ def _smoke_spec() -> TrainSpec:
         dataset="flights",
         ldx_text=SMOKE_LDX,
         num_rows=NUM_ROWS,
-        config=CdrlConfig(episodes=EPISODES, episode_length=4, seed=SEED),
+        config=CdrlConfig(
+            episodes=EPISODES, episode_length=4, seed=SEED, num_envs=NUM_ENVS
+        ),
     )
 
 
 def main() -> int:
     spec = _smoke_spec()
 
-    # -- single-process baseline: num_envs = fleet's W*K ------------------------
-    baseline = spec.build_agent(num_envs=2)
-    baseline_history = baseline.trainer.train()
+    # -- the learner is bit-identical to the single-process trainer ------------
+    baseline = spec.build_agent()
+    baseline_history = _history_fields(baseline.trainer.train().to_dict())
     baseline_weights = baseline.trainer.policy.network.export_state()
-
-    # -- inline fleet W=2 x K=1 is bit-identical --------------------------------
-    with FleetLearner(spec, num_actors=2, envs_per_actor=1, workers="inline") as learner:
-        fleet_result = learner.train()
-        fleet_weights = learner.trainer.policy.network.export_state()
-        assert fleet_weights == baseline_weights, (
-            "fleet(W=2, inline) weights diverged from single-process num_envs=2"
-        )
-        assert _history_fields(fleet_result.history.to_dict()) == _history_fields(
-            baseline_history.to_dict()
-        ), "fleet history diverged from single-process history"
+    learner = Learner(spec)
+    learned = learner.train()
+    assert learner.trainer.policy.network.export_state() == baseline_weights, (
+        f"learner weights diverged from single-process num_envs={NUM_ENVS}"
+    )
+    assert _history_fields(learned.history.to_dict()) == baseline_history, (
+        "learner history diverged from single-process history"
+    )
     print(
-        f"fleet bit-identity ok: {EPISODES} episodes, "
-        f"utility={fleet_result.utility_score:.4f}, "
-        f"compliant={fleet_result.fully_compliant}"
+        f"learner bit-identity ok: {EPISODES} episodes, "
+        f"utility={learned.utility_score:.4f}, "
+        f"compliant={learned.fully_compliant}"
     )
 
     with tempfile.TemporaryDirectory(prefix="linx-train-smoke-") as tmp:
         checkpoint_path = Path(tmp) / "run.ckpt"
         registry_path = Path(tmp) / "policies.sqlite"
 
-        # -- kill at a wave boundary, resume with a different fleet shape -------
-        with FleetLearner(
-            spec,
-            num_actors=2,
-            envs_per_actor=1,
-            workers="process",
-            checkpoint_path=checkpoint_path,
-        ) as partial:
-            stopped_at = partial.collect_until(EPISODES // 2)
-        assert stopped_at == EPISODES // 2, f"stopped at {stopped_at}"
-        resumed = FleetLearner.from_checkpoint(
-            checkpoint_path, num_actors=1, envs_per_actor=2, workers="inline"
+        # -- kill at a wave boundary, resume from the checkpoint --------------
+        stopped_at = Learner(spec, checkpoint_path=checkpoint_path).collect_until(
+            EPISODES // 2
         )
-        with resumed:
-            resumed_result = resumed.train()
-            resumed_weights = resumed.trainer.policy.network.export_state()
-            assert resumed_weights == baseline_weights, (
-                "kill-and-resume weights diverged from the uninterrupted run"
-            )
-            assert _history_fields(resumed_result.history.to_dict()) == (
-                _history_fields(baseline_history.to_dict())
-            ), "kill-and-resume history diverged"
-            print(
-                f"kill-and-resume ok: stopped at {stopped_at}, resumed with a "
-                "different fleet shape, weights bit-identical"
-            )
+        assert stopped_at == EPISODES // 2, f"stopped at {stopped_at}"
+        resumed = Learner.from_checkpoint(checkpoint_path)
+        resumed_result = resumed.train()
+        assert resumed.trainer.policy.network.export_state() == baseline_weights, (
+            "kill-and-resume weights diverged from the uninterrupted run"
+        )
+        assert _history_fields(resumed_result.history.to_dict()) == baseline_history, (
+            "kill-and-resume history diverged"
+        )
+        print(f"kill-and-resume ok: stopped at {stopped_at}, weights bit-identical")
 
-            # -- publish the trained policy -------------------------------------
-            with PolicyRegistry(registry_path) as registry:
-                version = resumed.publish(
-                    registry,
-                    "smoke",
-                    metrics={"utility": resumed_result.utility_score},
-                )
+        # -- publish the trained policy -----------------------------------------
+        with PolicyRegistry(registry_path) as registry:
+            version = resumed.publish(
+                registry, "smoke", metrics={"utility": resumed_result.utility_score}
+            )
         assert version == 1, f"expected version 1, got {version}"
 
         # -- serve it by name over HTTP -----------------------------------------
@@ -152,11 +137,6 @@ def main() -> int:
         try:
             with ServerThread(scheduler) as hosted:
                 port = hosted.port
-                status, stages = _call(port, "GET", "/stages")
-                generators = stages["stages"]["session_generator"]
-                assert "cdrl:smoke-v1" in generators, generators
-                assert "cdrl:smoke" in generators, generators
-
                 request = ExploreRequest(
                     goal="Characterise weather-delayed flights",
                     dataset="flights",

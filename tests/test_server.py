@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import http.client
 import json
+import logging
 import socket
 import threading
+import time
 
 import pytest
 
@@ -18,6 +21,7 @@ from repro.engine import (
     SessionOutcome,
 )
 from repro.engine.serve_smoke import _call, _stream_events
+from repro.engine import server as server_module
 from repro.engine.server import MAX_HEADER_LINES, ServerThread
 from repro.explore import session_from_operations
 from repro.explore.operations import FilterOperation, GroupAggOperation
@@ -347,6 +351,55 @@ class TestRequestHeadBounds:
         answer = _raw_exchange(port, b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n")
         status, _ = _status_and_body(answer)
         assert status == 414
+
+
+    def test_partial_head_times_out_with_408(self, served, monkeypatch):
+        monkeypatch.setattr(server_module, "REQUEST_READ_TIMEOUT_S", 0.2)
+        port, _ = served
+        started = time.monotonic()
+        answer = _raw_exchange(port, b"GET /healthz HTTP/1.1\r\nX-A: b\r\n")
+        status, body = _status_and_body(answer)
+        assert status == 408
+        assert "not received" in body["error"]
+        assert time.monotonic() - started < 10
+
+    def test_short_body_times_out_with_408(self, served, monkeypatch):
+        monkeypatch.setattr(server_module, "REQUEST_READ_TIMEOUT_S", 0.2)
+        port, _ = served
+        answer = _raw_exchange(
+            port, b"POST /requests HTTP/1.1\r\nContent-Length: 100\r\n\r\n{"
+        )
+        status, _ = _status_and_body(answer)
+        assert status == 408
+
+
+class TestServerThreadShutdown:
+    def test_stop_cancels_and_awaits_open_connection_handlers(self, caplog):
+        scheduler = RequestScheduler(
+            LinxEngine(session_generator=StubGenerator()), max_workers=1
+        )
+        hosted = ServerThread(scheduler).start()
+        sockets = []
+        try:
+            for _ in range(3):
+                sock = socket.create_connection(("127.0.0.1", hosted.port), timeout=30)
+                sock.sendall(b"GET /healthz HTTP/1.1\r\nX-A: b\r\n")
+                sockets.append(sock)
+            # Served after the three half-sent connections were accepted, so
+            # their handlers are running (blocked on the missing blank line).
+            status, _ = _call(hosted.port, "GET", "/healthz")
+            assert status == 200
+            with caplog.at_level(logging.WARNING, logger="asyncio"):
+                hosted.stop()
+                gc.collect()  # a destroyed pending task logs when collected
+            assert [r for r in caplog.records if r.name == "asyncio"] == []
+            for sock in sockets:
+                assert sock.recv(1024) == b""
+        finally:
+            for sock in sockets:
+                sock.close()
+            hosted.stop()
+            scheduler.shutdown()
 
 
 class TestCancelEndpoint:

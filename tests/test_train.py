@@ -1,4 +1,4 @@
-"""Tests for the distributed training tier (checkpoints, fleet, registry)."""
+"""Tests for the offline training tier (checkpoints, learner, registry, CLI)."""
 
 from __future__ import annotations
 
@@ -23,7 +23,8 @@ from repro.train.checkpoint import (
     deserialize_buffer,
     serialize_buffer,
 )
-from repro.train.learner import FleetLearner
+from repro.train.__main__ import main as train_cli
+from repro.train.learner import Learner
 from repro.train.registry import (
     PolicyRegistry,
     RegisteredPolicySessionGenerator,
@@ -47,7 +48,7 @@ def _spec(episodes: int = 6, seed: int = 3, **config_overrides) -> TrainSpec:
 
 
 def _history_fields(history: TrainingHistory) -> dict:
-    """History minus cache_stats (fleet and single-process cache differently)."""
+    """History minus cache_stats (resumed runs start with a cold cache)."""
     payload = history.to_dict()
     return {
         key: payload[key]
@@ -126,59 +127,34 @@ class TestConfigValidation:
 # -- checkpoint serialization --------------------------------------------------------
 class TestCheckpointSerialization:
     def test_buffer_round_trip(self):
-        spec = _spec(episodes=2)
-        learner = FleetLearner(spec, num_actors=1, envs_per_actor=1, workers="inline")
-        with learner:
-            learner.train()
-        # Re-collect one episode to get a real buffer through the actor path.
-        from repro.train.actor import collect_chunk
-
-        records = collect_chunk(
-            learner.fleet.payload,
-            learner.trainer.policy.network.export_state(),
-            0,
-            1,
-        )
-        rows = records[0]["buffer"]
-        buffer = deserialize_buffer(rows)
-        assert serialize_buffer(buffer) == rows
-        assert len(buffer.transitions) == len(rows)
-        decision = buffer.transitions[0].decision
+        learner = Learner(_spec(episodes=2))
+        learner.train()
+        buffer, _ = learner.trainer.run_episode()
+        rows = serialize_buffer(buffer)
+        restored = deserialize_buffer(rows)
+        assert serialize_buffer(restored) == rows
+        assert len(restored.transitions) == len(rows)
+        decision = restored.transitions[0].decision
         assert decision.probabilities == {}
         assert decision.observation.flags.writeable
 
     def test_blob_round_trip(self):
-        spec = _spec(episodes=4)
-        with FleetLearner(
-            spec, num_actors=1, envs_per_actor=1, workers="inline"
-        ) as learner:
-            learner.collect_until(2)
-            checkpoint = learner.checkpoint()
+        learner = Learner(_spec(episodes=4))
+        learner.collect_until(2)
+        checkpoint = learner.checkpoint()
         restored = TrainingCheckpoint.from_blob(checkpoint.to_blob())
         assert restored == checkpoint
 
     def test_unknown_schema_version_rejected(self):
-        spec = _spec(episodes=2)
-        with FleetLearner(
-            spec, num_actors=1, envs_per_actor=1, workers="inline"
-        ) as learner:
-            blob = learner.checkpoint().to_blob()
+        blob = Learner(_spec(episodes=2)).checkpoint().to_blob()
         payload = pickle.loads(blob)
         payload["schema_version"] = CHECKPOINT_SCHEMA_VERSION + 1
         with pytest.raises(ValueError, match="schema version"):
             TrainingCheckpoint.from_blob(pickle.dumps(payload, protocol=4))
 
     def test_save_and_load_file(self, tmp_path):
-        spec = _spec(episodes=2)
         path = tmp_path / "run.ckpt"
-        with FleetLearner(
-            spec,
-            num_actors=1,
-            envs_per_actor=1,
-            workers="inline",
-            checkpoint_path=path,
-        ) as learner:
-            learner.collect_until(2)
+        Learner(_spec(episodes=2), checkpoint_path=path).collect_until(2)
         assert TrainingCheckpoint.load(path).episodes_completed == 2
 
     def test_spec_payload_round_trip(self):
@@ -186,140 +162,83 @@ class TestCheckpointSerialization:
         assert TrainSpec.from_payload(spec.to_payload()) == spec
 
 
-# -- tentpole: fleet bit-identity ----------------------------------------------------
-class TestFleetBitIdentity:
-    def test_two_actors_match_single_process_two_envs(self):
-        spec = _spec()
-        baseline = spec.build_agent(num_envs=2)
+# -- learner bit-identity ------------------------------------------------------------
+class TestLearnerBitIdentity:
+    @pytest.mark.parametrize("num_envs", [2, 4])
+    def test_learner_matches_single_process(self, num_envs):
+        spec = _spec(num_envs=num_envs)
+        baseline = spec.build_agent()
         baseline_history = baseline.trainer.train()
-        with FleetLearner(
-            spec, num_actors=2, envs_per_actor=1, workers="inline"
-        ) as learner:
-            result = learner.train()
-            assert learner.trainer.policy.network.export_state() == (
-                baseline.trainer.policy.network.export_state()
-            )
-            assert learner.trainer.optimizer.export_state(
-                learner.trainer.policy.parameters()
-            ) == baseline.trainer.optimizer.export_state(
-                baseline.trainer.policy.parameters()
-            )
+        learner = Learner(spec)
+        result = learner.train()
+        assert learner.trainer.policy.network.export_state() == (
+            baseline.trainer.policy.network.export_state()
+        )
+        assert learner.trainer.optimizer.export_state(
+            learner.trainer.policy.parameters()
+        ) == baseline.trainer.optimizer.export_state(
+            baseline.trainer.policy.parameters()
+        )
         assert _history_fields(result.history) == _history_fields(baseline_history)
-
-    def test_actor_and_env_split_is_operational_only(self):
-        spec = _spec(episodes=4)
-        states = []
-        for num_actors, envs_per_actor in ((1, 4), (2, 2), (4, 1)):
-            with FleetLearner(
-                spec,
-                num_actors=num_actors,
-                envs_per_actor=envs_per_actor,
-                workers="inline",
-            ) as learner:
-                learner.train()
-                states.append(learner.trainer.policy.network.export_state())
-        assert states[0] == states[1] == states[2]
-
-    def test_wave_size_validation(self):
-        spec = _spec(episodes=2)
-        with FleetLearner(
-            spec, num_actors=1, envs_per_actor=1, workers="inline"
-        ) as learner:
-            with pytest.raises(ValueError, match="exceeds"):
-                learner.fleet.collect_wave(
-                    learner.trainer.policy.network.export_state(), 0, 2
-                )
 
 
 # -- tentpole: kill-and-resume -------------------------------------------------------
 class TestKillAndResume:
     def test_resume_matches_uninterrupted_run(self, tmp_path):
-        spec = _spec()
-        baseline = spec.build_agent(num_envs=2)
+        spec = _spec(num_envs=2)
+        baseline = spec.build_agent()
         baseline_history = baseline.trainer.train()
 
         path = tmp_path / "run.ckpt"
-        with FleetLearner(
-            spec,
-            num_actors=2,
-            envs_per_actor=1,
-            workers="inline",
-            checkpoint_path=path,
-        ) as partial:
-            stopped = partial.collect_until(3)
+        stopped = Learner(spec, checkpoint_path=path).collect_until(3)
         assert 0 < stopped < spec.config.episodes
 
-        resumed = FleetLearner.from_checkpoint(path, workers="inline")
-        with resumed:
-            result = resumed.train()
-            assert resumed.trainer.policy.network.export_state() == (
-                baseline.trainer.policy.network.export_state()
-            )
-            assert resumed.trainer.optimizer.export_state(
-                resumed.trainer.policy.parameters()
-            ) == baseline.trainer.optimizer.export_state(
-                baseline.trainer.policy.parameters()
-            )
+        resumed = Learner.from_checkpoint(path)
+        result = resumed.train()
+        assert resumed.trainer.policy.network.export_state() == (
+            baseline.trainer.policy.network.export_state()
+        )
+        assert resumed.trainer.optimizer.export_state(
+            resumed.trainer.policy.parameters()
+        ) == baseline.trainer.optimizer.export_state(
+            baseline.trainer.policy.parameters()
+        )
         assert _history_fields(result.history) == _history_fields(baseline_history)
 
     def test_resume_from_completion_checkpoint_is_a_no_op(self, tmp_path):
-        spec = _spec(episodes=4)
         path = tmp_path / "run.ckpt"
-        with FleetLearner(
-            spec,
-            num_actors=2,
-            envs_per_actor=1,
-            workers="inline",
-            checkpoint_path=path,
-        ) as learner:
-            learner.train()
-            final = learner.trainer.policy.network.export_state()
-        resumed = FleetLearner.from_checkpoint(path, workers="inline")
-        with resumed:
-            resumed.train()
-            assert resumed.trainer.policy.network.export_state() == final
+        learner = Learner(_spec(episodes=4, num_envs=2), checkpoint_path=path)
+        learner.train()
+        final = learner.trainer.policy.network.export_state()
+        resumed = Learner.from_checkpoint(path)
+        resumed.train()
+        assert resumed.trainer.policy.network.export_state() == final
 
     @settings(max_examples=5, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=4),
-           stop_after=st.integers(min_value=1, max_value=5))
+           stop_after=st.integers(min_value=1, max_value=5),
+           num_envs=st.integers(min_value=1, max_value=3))
     def test_resume_property_over_seeds_and_stop_points(
-        self, tmp_path_factory, seed, stop_after
+        self, tmp_path_factory, seed, stop_after, num_envs
     ):
-        """Stopping at any wave boundary of any seed resumes bit-identically."""
-        spec = _spec(seed=seed)
+        """Stopping at any wave boundary of any seed and wave size resumes exactly."""
+        spec = _spec(seed=seed, num_envs=num_envs)
         path = tmp_path_factory.mktemp("ckpt") / "run.ckpt"
-        with FleetLearner(
-            spec,
-            num_actors=2,
-            envs_per_actor=1,
-            workers="inline",
-            checkpoint_path=path,
-        ) as uninterrupted:
-            uninterrupted.train()
-            expected = uninterrupted.trainer.policy.network.export_state()
+        uninterrupted = Learner(spec, checkpoint_path=path)
+        uninterrupted.train()
+        expected = uninterrupted.trainer.policy.network.export_state()
 
-        with FleetLearner(
-            spec,
-            num_actors=2,
-            envs_per_actor=1,
-            workers="inline",
-            checkpoint_path=path,
-        ) as partial:
-            partial.collect_until(stop_after)
-        resumed = FleetLearner.from_checkpoint(path, workers="inline")
-        with resumed:
-            resumed.train()
-            assert resumed.trainer.policy.network.export_state() == expected
+        Learner(spec, checkpoint_path=path).collect_until(stop_after)
+        resumed = Learner.from_checkpoint(path)
+        resumed.train()
+        assert resumed.trainer.policy.network.export_state() == expected
 
 
 # -- the policy registry -------------------------------------------------------------
 class TestPolicyRegistry:
-    def _trained_learner(self, episodes: int = 4) -> FleetLearner:
-        learner = FleetLearner(
-            _spec(episodes=episodes), num_actors=1, envs_per_actor=2, workers="inline"
-        )
-        with learner:
-            learner.train()
+    def _trained_learner(self, episodes: int = 4) -> Learner:
+        learner = Learner(_spec(episodes=episodes, num_envs=2))
+        learner.train()
         return learner
 
     def test_publish_versions_and_get(self, tmp_path):
@@ -402,14 +321,11 @@ class TestPolicyRegistry:
 
 class TestServingRegisteredPolicies:
     def test_engine_serves_registered_policy_by_name(self, tmp_path):
-        learner = FleetLearner(
-            _spec(), num_actors=2, envs_per_actor=1, workers="inline"
-        )
-        with learner:
-            learner.train()
-            registry_path = tmp_path / "pol.sqlite"
-            with PolicyRegistry(registry_path) as registry:
-                learner.publish(registry, "served")
+        learner = Learner(_spec(num_envs=2))
+        learner.train()
+        registry_path = tmp_path / "pol.sqlite"
+        with PolicyRegistry(registry_path) as registry:
+            learner.publish(registry, "served")
         engine = LinxEngine(policy_registry_path=registry_path)
         try:
             result = engine.explore(
@@ -430,36 +346,66 @@ class TestServingRegisteredPolicies:
             engine.policy_registry.close()
 
     def test_generator_rejects_mismatched_table(self, tmp_path):
-        learner = FleetLearner(
-            _spec(episodes=2), num_actors=1, envs_per_actor=1, workers="inline"
-        )
-        with learner:
-            learner.train()
-            with PolicyRegistry(tmp_path / "pol.sqlite") as registry:
-                learner.publish(registry, "flightsonly")
-                generator = RegisteredPolicySessionGenerator(registry, "flightsonly")
-                from repro.datasets.registry import load_dataset
+        learner = Learner(_spec(episodes=2))
+        learner.train()
+        with PolicyRegistry(tmp_path / "pol.sqlite") as registry:
+            learner.publish(registry, "flightsonly")
+            generator = RegisteredPolicySessionGenerator(registry, "flightsonly")
+            from repro.datasets.registry import load_dataset
 
-                other = load_dataset("netflix", num_rows=60)
-                with pytest.raises(ValueError, match="does not fit table"):
-                    generator.generate(other, LDX)
+            other = load_dataset("netflix", num_rows=60)
+            with pytest.raises(ValueError, match="does not fit table"):
+                generator.generate(other, LDX)
 
     def test_generator_honours_request_episode_budget(self, tmp_path):
-        learner = FleetLearner(
-            _spec(episodes=2), num_actors=1, envs_per_actor=1, workers="inline"
+        learner = Learner(_spec(episodes=2))
+        learner.train()
+        with PolicyRegistry(tmp_path / "pol.sqlite") as registry:
+            learner.publish(registry, "budgeted")
+            generator = RegisteredPolicySessionGenerator(registry, "budgeted")
+            table = learner.spec.load_table()
+            attempts = []
+            outcome = generator.generate(
+                table,
+                LDX,
+                episodes=2,
+                on_episode=lambda episode, *_: attempts.append(episode),
+            )
+            assert attempts == [0, 1]
+            assert outcome.episodes_trained == 2  # trained episodes, from history
+
+
+# -- the command-line front-end -------------------------------------------------------
+class TestCli:
+    def test_train_resume_list_promote(self, tmp_path, capsys):
+        checkpoint = tmp_path / "run.ckpt"
+        registry_path = tmp_path / "pol.sqlite"
+        common = ["--registry", str(registry_path), "--name", "cli", "--quiet"]
+        assert train_cli(
+            ["train", "--dataset", "flights", "--rows", "120", "--ldx", LDX,
+             "--episodes", "4", "--episode-length", "3", "--seed", "3",
+             "--num-envs", "2", "--checkpoint", str(checkpoint), *common]
+        ) == 0
+        trained = TrainingCheckpoint.load(checkpoint)
+        assert trained.episodes_completed == 4
+        assert trained.spec["config"]["num_envs"] == 2
+
+        # Resuming a finished run trains nothing and leaves the weights alone.
+        assert train_cli(["resume", str(checkpoint), *common]) == 0
+        resumed = TrainingCheckpoint.load(checkpoint)
+        assert resumed.network_state == trained.network_state
+        assert _history_fields(TrainingHistory.from_dict(resumed.history)) == (
+            _history_fields(TrainingHistory.from_dict(trained.history))
         )
-        with learner:
-            learner.train()
-            with PolicyRegistry(tmp_path / "pol.sqlite") as registry:
-                learner.publish(registry, "budgeted")
-                generator = RegisteredPolicySessionGenerator(registry, "budgeted")
-                table = learner.spec.load_table()
-                attempts = []
-                outcome = generator.generate(
-                    table,
-                    LDX,
-                    episodes=2,
-                    on_episode=lambda episode, *_: attempts.append(episode),
-                )
-                assert attempts == [0, 1]
-                assert outcome.episodes_trained == 2  # trained episodes, from history
+
+        assert train_cli(["list", "--registry", str(registry_path)]) == 0
+        listing = capsys.readouterr().out
+        assert "cdrl:cli-v1" in listing and "cdrl:cli-v2" in listing
+        assert train_cli(["promote", "cli", "2", "--registry", str(registry_path)]) == 0
+        assert train_cli(["promote", "cli", "9", "--registry", str(registry_path)]) == 2
+        with PolicyRegistry(registry_path) as registry:
+            assert registry.versions("cli") == [1, 2]
+            assert registry.get("cli")["version"] == 2
+            assert registry.get("cli", 2)["checkpoint"].network_state == (
+                trained.network_state
+            )
